@@ -15,13 +15,20 @@ higher simplices only witness relations between relations.  Skipping a
 candidate whose quasi-invertibility we cannot settle only
 under-identifies, so the computed quotient always surjects onto the
 true pi_0 at its size level and is monotone in the degree bound.
+
+Path candidates are filtered by their end P(1), the sum of their
+coefficient matrices, before any quasi-inverse is sought over A[t].
+Evaluation at t = 1 is a ring hom A[t] -> A, so every quasi-invertible
+path ends in GL_n(A); a candidate ending at 0, outside GL_n(A) or at a
+generator already found can add nothing, and skipping it leaves the
+identified subgroup exactly as it was.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceeded, VerificationFailure
+from .errors import BadUnit, BudgetExceeded, VerificationFailure
 from .intlin import smith_normal_form
 from .poly import PolyLike, PolyRing, constant_of, evaluate
 from .rings import FiniteRing
@@ -338,54 +345,75 @@ class CircleGroup:
 
     def verify_group_axioms(self):
         z = self.identity()
-        assert z in self.index, "identity missing"
+        if z not in self.index:
+            raise VerificationFailure("identity missing")
         for a in self.elements:
-            assert self.op(a, z) == a and self.op(z, a) == a
-            assert self.op(a, self.inv(a)) == z
-            assert self.op(self.inv(a), a) == z
+            if self.op(a, z) != a or self.op(z, a) != a:
+                raise VerificationFailure("identity law fails", witness=a)
+            if self.op(a, self.inv(a)) != z or self.op(self.inv(a), a) != z:
+                raise VerificationFailure("inverse law fails", witness=a)
         for a in self.elements:
             for b in self.elements:
-                assert self.op(a, b) in self.index, "not closed"
+                if self.op(a, b) not in self.index:
+                    raise VerificationFailure("not closed", witness=(a, b))
         for a in self.elements:
             for b in self.elements:
                 ab = self.op(a, b)
                 for c in self.elements:
                     if self.op(ab, c) != self.op(a, self.op(b, c)):
-                        raise AssertionError("associativity fails")
+                        raise VerificationFailure("associativity fails",
+                                                  witness=(a, b, c))
         return True
 
-    def subgroup_closure(self, gens):
+    def _generate(self, gens):
+        """The subgroup generated by gens, and the generators kept: each
+        one not already in the closure of those kept before it.  In a
+        finite group the subgroup is the monoid its generators span, so
+        closing the identity under right multiplication by the kept
+        generators suffices (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, ch. 4)."""
         seen = {self.identity()}
-        frontier = list(gens)
-        while frontier:
-            g = frontier.pop()
+        kept = []
+        for g in gens:
             if g in seen:
                 continue
-            seen.add(g)
-            frontier.append(self.inv(g))
-            for h in list(seen):
-                frontier.append(self.op(g, h))
-                frontier.append(self.op(h, g))
-        return sorted(seen)
+            kept.append(g)
+            # seen is closed under the earlier generators, so the old
+            # elements need only g; the new ones need every generator
+            frontier = [x for x in {self.op(h, g) for h in seen}
+                        if x not in seen]
+            seen.update(frontier)
+            while frontier:
+                h = frontier.pop()
+                for s in kept:
+                    x = self.op(h, s)
+                    if x not in seen:
+                        seen.add(x)
+                        frontier.append(x)
+        return seen, kept
+
+    def subgroup_closure(self, gens):
+        return sorted(self._generate(gens)[0])
 
     def is_normal(self, subgroup):
+        """Whether the given subgroup H is normal.  Conjugation by g is a
+        group hom, so g H g^-1 lies in H once it holds on a generating set
+        of H; the test runs on the generators kept by _generate only."""
         sub = set(subgroup)
+        _, kept = self._generate(subgroup)
         for g in self.elements:
             gi = self.inv(g)
-            for h in subgroup:
-                if self.op(self.op(g, h), gi) not in sub:
+            for s in kept:
+                if self.op(self.op(g, s), gi) not in sub:
                     return False
         return True
 
 
-_GL_CACHE = {}
-
-
 def gl_group(ring, n, budget=200_000):
-    """Enumerate GL_n over a finite ring, with witnesses."""
-    key = (id(ring), n)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
+    """Enumerate GL_n over a finite ring, with witnesses; memoized on the
+    ring, so the group lives exactly as long as the ring."""
+    if n in ring.gl_groups:
+        return ring.gl_groups[n]
     count = ring.size() ** (n * n)
     if count > budget:
         raise BudgetExceeded(count, budget)
@@ -401,7 +429,7 @@ def gl_group(ring, n, budget=200_000):
             raise VerificationFailure(
                 f"quasi-invertibility undecided for {m} over {ring.label}")
     group = CircleGroup(ring, n, sorted(elements), witnesses)
-    _GL_CACHE[key] = group
+    ring.gl_groups[n] = group
     return group
 
 
@@ -449,11 +477,6 @@ def _poly_matrix(ring, var, coeff_mats):
     return tuple(rows)
 
 
-def _eval_matrix(base, pm, var, value):
-    return tuple(tuple(constant_of(base, evaluate(base, p, var, value))
-                       for p in row) for row in pm)
-
-
 def kv1_approx(ring, n, degree, budget=200_000, witness_degree=None):
     """Classes of GL_n(A) modulo ends of degree <= degree polynomial paths.
 
@@ -472,18 +495,21 @@ def kv1_approx(ring, n, degree, budget=200_000, witness_degree=None):
 
     mats = [tuple(tuple(cand[i * n + j] for j in range(n)) for i in range(n))
             for cand in itertools.product(ring.elements(), repeat=n * n)]
+    zero = mat_zero(ring, n)
     gens = set()
     for coeffs in itertools.product(mats, repeat=degree):
-        if all(m == mat_zero(ring, n) for m in coeffs):
+        end = coeffs[0]
+        for c in coeffs[1:]:
+            end = mat_add(ring, end, c)
+        # the endpoint filter of the module docstring: P(1) of a
+        # quasi-invertible path lies in GL_n(A)
+        if end == zero or end in gens or end not in group.index:
             continue
-        pm = _poly_matrix(pring, "t", list(coeffs))
+        pm = _poly_matrix(pring, "t", coeffs)
         res = quasi_inverse(pring, pm, witness_degree=witness_degree,
                             budget=budget)
-        if res.status != "ok":
-            continue            # skipping only under-identifies
-        end = _eval_matrix(ring, pm, "t", 1)
-        if end != mat_zero(ring, n):
-            gens.add(end)
+        if res.status == "ok":
+            gens.add(end)       # skipping an undecided one under-identifies
 
     gens = sorted(gens)
     subgroup = group.subgroup_closure(gens)
@@ -551,7 +577,9 @@ def determinant_certificate(pres):
     quotient is at least as large as the determinant image; returns the
     comparison data."""
     ring = pres.group.ring
-    assert ring.unit is not None and _is_commutative(ring)
+    if ring.unit is None or not _is_commutative(ring):
+        raise BadUnit("determinant certificate needs a commutative ring "
+                      "with unit")
     dets_sub = {circle_determinant(ring, h) for h in pres.subgroup}
     dets_all = {circle_determinant(ring, g) for g in pres.group.elements}
     return {

@@ -107,6 +107,7 @@ class FiniteRing(Ring):
         self.table = tuple(tuple(self._reduce_raw(v) for v in row) for row in table)
         self.unit = self._reduce_raw(unit) if unit is not None else None
         self.label = label
+        self.gl_groups = {}     # n -> GL_n over this ring, see glk.gl_group
 
     def _reduce_raw(self, v):
         return tuple(int(c) % d for c, d in zip(v, self.orders))

@@ -1,12 +1,21 @@
+import gc
+import itertools
+import os
 import random
+import subprocess
+import sys
+import weakref
 
 import pytest
 
-from hotring import (PolyRing, QiMatrix, VerificationFailure, circle,
-                     circle_determinant, corpus, determinant_certificate,
-                     gl_group, kv1_approx, quasi_inverse, stabilize,
-                     strict_pi0)
-from hotring.glk import is_circle_witness, mat_zero
+import hotring
+from hotring import (BadUnit, CircleGroup, PolyRing, QiMatrix,
+                     VerificationFailure, circle, circle_determinant, corpus,
+                     determinant_certificate, gl_group, kv1_approx,
+                     quasi_inverse, stabilize, strict_pi0)
+from hotring.glk import (_poly_matrix, _quotient_invariants,
+                         is_circle_witness, mat_zero)
+from hotring.poly import constant_of, evaluate
 
 RINGS = corpus()
 
@@ -206,3 +215,191 @@ def test_strict_pi0_partitions():
     assert strict_pi0(["a", "b", "c"], [("a", "b"), ("b", "c")]) == [
         ["a", "b", "c"]]
     assert strict_pi0([1, 2, 3, 4], [(1, 2), (3, 4)]) == [[1, 2], [3, 4]]
+
+
+def test_gl_group_memo_lives_on_the_ring():
+    r = corpus()["sq0_z3"]
+    g = gl_group(r, 2)
+    assert gl_group(r, 2) is g
+    assert gl_group(corpus()["sq0_z3"], 2) is not g
+    ref = weakref.ref(r)
+    del r, g
+    gc.collect()
+    assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# closure and normality on GL_2(F_2) = S_3
+
+
+def _s3():
+    g = gl_group(RINGS["z2_unital"], 2)
+    order = {}
+    for m in g.elements:
+        k, x = 1, m
+        while x != g.identity():
+            k, x = k + 1, g.op(x, m)
+        order[m] = k
+    return g, order
+
+
+def test_closure_ignores_redundant_generators():
+    g, order = _s3()
+    c = next(m for m in g.elements if order[m] == 3)
+    single = g.subgroup_closure([c])
+    assert len(single) == 3
+    assert g.subgroup_closure([c, g.op(c, c), g.identity(), c]) == single
+    t1, t2 = [m for m in g.elements if order[m] == 2][:2]
+    assert g.subgroup_closure([t1, t2]) == g.elements
+    for a in g.elements:
+        for b in g.elements:
+            assert g.subgroup_closure([a, b]) == _naive_closure(g, [a, b])
+
+
+def test_normality_on_s3_subgroups():
+    g, order = _s3()
+    c = next(m for m in g.elements if order[m] == 3)
+    assert g.is_normal(g.subgroup_closure([c]))
+    for t in (m for m in g.elements if order[m] == 2):
+        assert not g.is_normal(g.subgroup_closure([t]))
+    assert g.is_normal(g.elements)
+    assert g.is_normal([g.identity()])
+
+
+def test_kv1_rejects_a_subgroup_that_is_not_normal(monkeypatch):
+    monkeypatch.setattr(CircleGroup, "is_normal", lambda self, sub: False)
+    with pytest.raises(VerificationFailure):
+        kv1_approx(corpus()["sq0_z2"], 1, 1)
+
+
+def test_group_axiom_failures_are_typed_errors():
+    r = RINGS["sq0_z2"]
+    g = gl_group(r, 2)
+    one = g.elements[1]
+    pair = CircleGroup(r, 2, [g.identity(), one],
+                       {g.identity(): g.identity(), one: one})
+    assert pair.verify_group_axioms()           # Z/2 inside GL_2
+    missing = CircleGroup(r, 2, g.elements[1:], g.witnesses)
+    with pytest.raises(VerificationFailure, match="identity"):
+        missing.verify_group_axioms()
+    other = next(m for m in g.elements[2:] if g.op(one, m) not in
+                 (g.identity(), one))
+    open_set = CircleGroup(r, 2, [g.identity(), one, other], g.witnesses)
+    with pytest.raises(VerificationFailure, match="not closed"):
+        open_set.verify_group_axioms()
+
+
+def test_determinant_certificate_needs_commutative_unit():
+    with pytest.raises(BadUnit):
+        determinant_certificate(kv1_approx(RINGS["sq0_z2"], 1, 1))
+
+
+def test_glk_checks_survive_optimized_python():
+    code = """if True:
+        from hotring import BadUnit, CircleGroup, VerificationFailure, corpus
+        from hotring import determinant_certificate, gl_group, kv1_approx
+        r = corpus()["sq0_z2"]
+        g = gl_group(r, 2)
+        try:
+            CircleGroup(r, 2, g.elements[1:], g.witnesses).verify_group_axioms()
+            raise SystemExit("axioms passed")
+        except VerificationFailure:
+            pass
+        try:
+            determinant_certificate(kv1_approx(r, 1, 1))
+            raise SystemExit("certificate issued")
+        except BadUnit:
+            pass
+    """
+    src = os.path.dirname(os.path.dirname(hotring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+# ---------------------------------------------------------------------------
+# the KV_1 pipeline against its first, unpruned form
+
+
+def _naive_closure(group, gens):
+    seen = {group.identity()}
+    frontier = list(gens)
+    while frontier:
+        g = frontier.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        frontier.append(group.inv(g))
+        for h in list(seen):
+            frontier.append(group.op(g, h))
+            frontier.append(group.op(h, g))
+    return sorted(seen)
+
+
+def _kv1_reference(ring, n, degree):
+    """quasi_inverse on every path candidate, closure over all products,
+    normality under every conjugation."""
+    group = gl_group(ring, n)
+    pring = PolyRing(ring, ("t",))
+    zero = mat_zero(ring, n)
+    mats = [tuple(tuple(c[i * n + j] for j in range(n)) for i in range(n))
+            for c in itertools.product(ring.elements(), repeat=n * n)]
+    gens = set()
+    for coeffs in itertools.product(mats, repeat=degree):
+        if all(m == zero for m in coeffs):
+            continue
+        pm = _poly_matrix(pring, "t", list(coeffs))
+        if quasi_inverse(pring, pm, witness_degree=2 * degree).status != "ok":
+            continue
+        end = tuple(tuple(constant_of(ring, evaluate(ring, p, "t", 1))
+                          for p in row) for row in pm)
+        if end != zero:
+            gens.add(end)
+    gens = sorted(gens)
+    subgroup = _naive_closure(group, gens)
+    seen = set(subgroup)
+    for g in group.elements:
+        for h in subgroup:
+            assert group.op(group.op(g, h), group.inv(g)) in seen
+
+    class_map, reps = {}, []
+    for m in group.elements:
+        if m not in class_map:
+            coset = sorted(group.op(m, h) for h in seen)
+            reps.append(coset[0])
+            for x in coset:
+                class_map[x] = len(reps) - 1
+    return gens, subgroup, reps, class_map, _quotient_invariants(
+        group, reps, class_map)
+
+
+# tower3 and upper3_z2 at n = 2 have 4096-element groups, out of the
+# reference's quadratic reach
+KV1_LEVELS = (
+    [(label, n, d) for label in sorted(RINGS)
+     for n, d in ((1, 1), (1, 2), (1, 3))]
+    + [(label, 2, 1) for label in sorted(RINGS)
+       if label not in ("tower3", "upper3_z2")]
+    + [("sq0_z2", 2, 2), ("z2_unital", 2, 2)])
+
+
+@pytest.mark.parametrize("label,n,d", KV1_LEVELS)
+def test_kv1_matches_unpruned_reference(label, n, d):
+    ring = RINGS[label]
+    gens, subgroup, reps, class_map, inv = _kv1_reference(ring, n, d)
+    pres = kv1_approx(ring, n, d)
+    assert pres.generators == gens
+    assert pres.subgroup == subgroup
+    assert pres.reps == reps
+    assert pres.class_map == class_map
+    assert pres.invariant_factors == inv
+
+
+@pytest.mark.parametrize("label,n", [("two_z8", 2), ("tower2", 2),
+                                     ("sq0_z2", 3)])
+def test_kv1_nilpotent_base_is_trivial(label, n):
+    # over a nilpotent base t*M is a quasi-invertible path from 0 to any M
+    pres = kv1_approx(RINGS[label], n, 1)
+    assert pres.order == 1
+    assert len(pres.subgroup) == pres.group.order()
