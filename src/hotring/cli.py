@@ -81,7 +81,7 @@ def _load_hom(path, registry):
             raise CliError(f"unknown ring label: {data[side]}", 1)
     try:
         return hom_from_json(data, registry)
-    except AssertionError as exc:
+    except VerificationFailure as exc:
         raise CliError(f"invalid homomorphism in {path}: {exc}", 1)
 
 

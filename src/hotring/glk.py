@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 
 from .errors import BadUnit, BudgetExceeded, VerificationFailure
-from .intlin import smith_normal_form
+from .intlin import invariant_factors
 from .poly import PolyLike, PolyRing, constant_of, evaluate
-from .rings import FiniteRing
+from .rings import FiniteRing, _UnionFind
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +550,7 @@ def _quotient_invariants(group, reps, class_map):
             row[j] += 1
             row[table[i][j]] -= 1
             rows.append(row)
-    if not rows:
-        return []
-    s, _, _ = smith_normal_form(rows)
-    diag = [s[i][i] for i in range(min(len(rows), k))]
-    return sorted(d for d in diag if d not in (0, 1))
+    return sorted(d for d in invariant_factors(rows) if d not in (0, 1))
 
 
 def stabilize(ring, m, bigger):
@@ -600,19 +596,7 @@ def strict_pi0(elements, edges):
     member)."""
     elements = list(elements)
     index = {x: i for i, x in enumerate(elements)}
-    parent = list(range(len(elements)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = _UnionFind(len(elements))
     for a, b in edges:
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    buckets = {}
-    for i, x in enumerate(elements):
-        buckets.setdefault(find(i), []).append(x)
-    return [sorted(buckets[r]) for r in sorted(buckets)]
+        uf.union(index[a], index[b])
+    return [sorted(elements[i] for i in cls) for cls in uf.classes()]

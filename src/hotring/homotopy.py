@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceeded
+from .errors import VerificationFailure
 from .poly import (PolyLike, PolyRing, coefficient_map, constant_of,
                    evaluate, one_minus, slices, substitute)
-from .rings import FuncHom, RingHom, compose, identity_hom, zero_hom
+from .rings import (FuncHom, RingHom, _UnionFind, _all_pairs,
+                    _first_nonmultiplicative, _multiplicative_images, compose,
+                    identity_hom, zero_hom)
 from .virtual import PairRing
 
 
@@ -170,17 +172,14 @@ def verify_certificate(cert, probes=50, rng=None):
             if eval_endpoint(ring, img, cert.var, 1) != cert.f1.apply(src.gen(i)):
                 return CertificateReport(False, "exact", checked,
                                          ("endpoint1", i))
-        for i in range(src.ngens):
-            for j in range(src.ngens):
-                checked += 1
-                lhs = carrier.zero()
-                for l, c in enumerate(src.table[i][j]):
-                    if c:
-                        lhs = carrier.add(lhs, carrier.scalar(c, h.images[l]))
-                if lhs != carrier.mul(h.images[i], h.images[j]):
-                    return CertificateReport(False, "exact", checked,
-                                             ("multiplicative", (i, j)))
-        return CertificateReport(True, "exact", checked)
+        bad = _first_nonmultiplicative(src, carrier, h.images,
+                                       _all_pairs(src))
+        if bad is not None:
+            # one check per generator pair, up to and including the bad one
+            checked += bad[0] * src.ngens + bad[1] + 1
+            return CertificateReport(False, "exact", checked,
+                                     ("multiplicative", bad))
+        return CertificateReport(True, "exact", checked + src.ngens ** 2)
 
     import random
     rng = rng or random.Random(0)
@@ -349,12 +348,6 @@ def search_elementary(f0, f1, degree, budget=200_000, var="x"):
                 options.append((lo,) + mid + (top,))
         per_gen.append(options)
 
-    total = 1
-    for options in per_gen:
-        total *= len(options)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-
     def to_poly(coeffs):
         acc = carrier.zero()
         for e, c in enumerate(coeffs):
@@ -362,45 +355,19 @@ def search_elementary(f0, f1, degree, budget=200_000, var="x"):
                               if e else carrier.const(c))
         return acc
 
-    checks_at = [[] for _ in range(src.ngens)]
-    for i in range(src.ngens):
-        for j in range(src.ngens):
-            support = [l for l, c in enumerate(src.table[i][j]) if c]
-            checks_at[max([i, j] + support)].append((i, j))
-
-    images = [None] * src.ngens
-    searched = 0
-
-    def extend(step):
-        nonlocal searched
-        if step == src.ngens:
-            return list(images)
-        for coeffs in per_gen[step]:
-            searched += 1
-            images[step] = to_poly(coeffs)
-            ok = True
-            for (i, j) in checks_at[step]:
-                lhs = carrier.zero()
-                for l, c in enumerate(src.table[i][j]):
-                    if c:
-                        lhs = carrier.add(lhs, carrier.scalar(c, images[l]))
-                if lhs != carrier.mul(images[i], images[j]):
-                    ok = False
-                    break
-            if ok:
-                result = extend(step + 1)
-                if result is not None:
-                    return result
-        images[step] = None
-        return None
-
-    found = extend(0)
+    searched = [0]
+    found = next(_multiplicative_images(src, carrier, per_gen, budget,
+                                        to_image=to_poly, tried=searched),
+                 None)
     if found is None:
-        return NotFoundAtBound(degree, searched)
+        return NotFoundAtBound(degree, searched[0])
     cert = HomotopyCertificate(RingHom(src, carrier, found, label="h"),
                                f0, f1, var)
     report = verify_certificate(cert)
-    assert report.valid, f"search produced an invalid certificate: {report}"
+    if not report.valid:
+        raise VerificationFailure(
+            f"search produced an invalid certificate: {report}",
+            witness=report.failure)
     return cert
 
 
@@ -420,23 +387,17 @@ def search_up_to(f0, f1, degree, budget=200_000, var="x"):
 
 
 class ClassesResult:
-    def __init__(self, homs, parent, edges, degree):
+    def __init__(self, homs, uf, edges, degree):
         self.homs = homs
-        self.parent = parent
+        self.uf = uf                # _UnionFind over hom indices
         self.edges = edges          # (i, j) with i < j -> certificate
         self.degree = degree
 
     def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
+        return self.uf.find(i)
 
     def classes(self):
-        buckets = {}
-        for i in range(len(self.homs)):
-            buckets.setdefault(self.find(i), []).append(i)
-        return [sorted(b) for _, b in sorted(buckets.items())]
+        return self.uf.classes()
 
     def same_class(self, i, j):
         return self.find(i) == self.find(j)
@@ -476,32 +437,25 @@ def homotopy_classes(homs, degree, budget=200_000, var="x"):
     Every merge carries a verified certificate; the partition refines the
     true homotopy relation (only genuine identifications are made)."""
     homs = sorted(homs, key=lambda h: h.images)
-    parent = list(range(len(homs)))
+    uf = _UnionFind(len(homs))
     edges = {}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
     remaining = len(homs)
     for i in range(len(homs)):
         if remaining <= 1:
             break
         for j in range(i + 1, len(homs)):
-            if find(i) == find(j):
+            if uf.find(i) == uf.find(j):
                 continue
             outcome = search_up_to(homs[i], homs[j], degree, budget=budget,
                                    var=var)
             if isinstance(outcome, HomotopyCertificate):
                 edges[(i, j)] = outcome
-                ri, rj = find(i), find(j)
-                parent[max(ri, rj)] = min(ri, rj)
+                uf.union(i, j)
                 remaining -= 1
                 if remaining <= 1:
                     break
-    return ClassesResult(homs, parent, edges, degree)
+    return ClassesResult(homs, uf, edges, degree)
 
 
 def search_homotopy_equivalence(f, candidates, degree, budget=200_000,

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (BadUnit, BudgetExceeded, IllDefined, NotAssociative)
+from .errors import (BadUnit, BudgetExceeded, IllDefined, NotAssociative,
+                     VerificationFailure)
 from .intlin import (LinearSolver, invert_unimodular, kernel_basis, mat_vec,
-                     smith_normal_form)
+                     smith_normal_form, transpose)
 
 
 class Ring:
@@ -274,25 +275,26 @@ class RingHom(Hom):
                 acc = t.add(acc, t.scalar(c, img))
         return acc
 
-    def is_valid(self):
-        try:
-            self.validate()
-            return True
-        except AssertionError:
-            return False
-
     def validate(self):
+        """Raise VerificationFailure, with the offending generator or pair
+        as witness, unless the images define a ring homomorphism."""
         src, t = self.source, self.target
-        assert len(self.images) == src.ngens
+        if len(self.images) != src.ngens:
+            raise VerificationFailure(
+                f"{len(self.images)} generator images for {src.ngens} "
+                "generators")
         for i, img in enumerate(self.images):
-            assert t.contains(img), f"image of generator {i} not in target"
-            assert t.is_zero(t.scalar(src.orders[i], img)), \
-                f"order of generator {i} not respected"
-        for i in range(src.ngens):
-            for j in range(src.ngens):
-                lhs = self.apply(src.table[i][j])
-                rhs = t.mul(self.images[i], self.images[j])
-                assert lhs == rhs, f"multiplicativity fails on generators {i},{j}"
+            if not t.contains(img):
+                raise VerificationFailure(
+                    f"image of generator {i} not in target", witness=i)
+            if not t.is_zero(t.scalar(src.orders[i], img)):
+                raise VerificationFailure(
+                    f"order of generator {i} not respected", witness=i)
+        bad = _first_nonmultiplicative(src, t, self.images, _all_pairs(src))
+        if bad is not None:
+            raise VerificationFailure(
+                "multiplicativity fails on generators {},{}".format(*bad),
+                witness=bad)
 
     def key(self):
         return self.images
@@ -339,54 +341,75 @@ def zero_hom(source, target):
     return FuncHom(source, target, lambda x: target.zero(), label="0")
 
 
-def enumerate_homs(source, target, budget=1_000_000):
-    """All ring homomorphisms source -> target, in lexicographic order of
-    generator image coordinates.  Both rings finite."""
+def _all_pairs(source):
+    return [(i, j) for i in range(source.ngens) for j in range(source.ngens)]
+
+
+def _first_nonmultiplicative(source, target, images, pairs):
+    """The first generator pair (i, j) on which the images are not
+    multiplicative, i.e. sum_l c_l images[l] over c = table[i][j] differs
+    from images[i] * images[j]; None when every pair passes."""
+    for i, j in pairs:
+        lhs = target.zero()
+        for l, c in enumerate(source.table[i][j]):
+            if c:
+                lhs = target.add(lhs, target.scalar(c, images[l]))
+        if lhs != target.mul(images[i], images[j]):
+            return (i, j)
+    return None
+
+
+def _multiplicative_images(source, target, options, budget, to_image=None,
+                           tried=None):
+    """Depth-first search over generator images, options[i] listing the
+    candidates for generator i in the order they are tried.
+
+    Yields every multiplicative assignment as a list of images, in
+    lexicographic order of the option indices.  to_image turns an option
+    into its image in target; tried[0] counts the candidates tried.
+    Raises BudgetExceeded before searching when the product of the option
+    counts exceeds budget.
+    """
     k = source.ngens
-    candidates = []
-    for i in range(k):
-        d = source.orders[i]
-        candidates.append([x for x in target.elements()
-                           if target.is_zero(target.scalar(d, x))])
     total = 1
-    for c in candidates:
-        total *= len(c)
+    for opts in options:
+        total *= len(opts)
     if total > budget:
         raise BudgetExceeded(total, budget)
 
     # a pair (i, j) can be checked once images for i, j and the support of
     # g_i * g_j are all assigned
     checks_at = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            support = [l for l, c in enumerate(source.table[i][j]) if c]
-            step = max([i, j] + support)
-            checks_at[step].append((i, j))
+    for i, j in _all_pairs(source):
+        support = [l for l, c in enumerate(source.table[i][j]) if c]
+        checks_at[max([i, j] + support)].append((i, j))
 
-    found = []
+    tried = tried if tried is not None else [0]
     images = [None] * k
 
     def extend(step):
         if step == k:
-            found.append(RingHom(source, target, list(images)))
+            yield list(images)
             return
-        for x in candidates[step]:
-            images[step] = x
-            ok = True
-            for (i, j) in checks_at[step]:
-                lhs = target.zero()
-                for l, c in enumerate(source.table[i][j]):
-                    if c:
-                        lhs = target.add(lhs, target.scalar(c, images[l]))
-                if lhs != target.mul(images[i], images[j]):
-                    ok = False
-                    break
-            if ok:
-                extend(step + 1)
+        for x in options[step]:
+            tried[0] += 1
+            images[step] = x if to_image is None else to_image(x)
+            if _first_nonmultiplicative(source, target, images,
+                                        checks_at[step]) is None:
+                yield from extend(step + 1)
         images[step] = None
 
-    extend(0)
-    return found
+    return extend(0)
+
+
+def enumerate_homs(source, target, budget=1_000_000):
+    """All ring homomorphisms source -> target, in lexicographic order of
+    generator image coordinates.  Both rings finite."""
+    candidates = [[x for x in target.elements()
+                   if target.is_zero(target.scalar(d, x))]
+                  for d in source.orders]
+    return [RingHom(source, target, images) for images in
+            _multiplicative_images(source, target, candidates, budget)]
 
 
 def is_surjective(hom):
@@ -394,6 +417,36 @@ def is_surjective(hom):
     is the additive span of the generator images."""
     img = additive_closure(hom.target, list(hom.images))
     return len(img) == hom.target.size()
+
+
+# ---------------------------------------------------------------------------
+# union-find over indices, shared by homotopy classes and strict pi_0
+
+
+class _UnionFind:
+    """Incremental union-find on 0..n-1; the smaller root wins a union,
+    so every class is rooted at its least member."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        self.parent[max(ri, rj)] = min(ri, rj)
+
+    def classes(self):
+        """Lists of members, each ascending, ordered by least member."""
+        buckets = {}
+        for i in range(len(self.parent)):
+            buckets.setdefault(self.find(i), []).append(i)
+        return [buckets[r] for r in sorted(buckets)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +505,16 @@ class SubgroupPresentation:
             self._u, self._s, self._solver, self._m = None, (), None, 0
             self._keep = []
             return
-        stacked = [[vectors[j][i] for j in range(m)]
-                   + [self.ambient_orders[i] if c == i else 0 for c in range(k)]
-                   for i in range(k)]
-        rel = [col[:m] for col in kernel_basis(stacked)]
-        rel_mat = [[rel[r][i] for r in range(len(rel))] for i in range(m)]
-        s, u, _ = smith_normal_form(rel_mat)
+        s, u, _ = smith_normal_form(
+            transpose(_integer_kernel(vectors, self.ambient_orders)))
         uinv = invert_unimodular(u)
         diag = [s[i][i] for i in range(m)]
         keep = [i for i in range(m) if diag[i] != 1]
         self._m = m
         self._u = u
         self._s = diag
-        self._solver = LinearSolver(stacked)
+        self._solver = LinearSolver(_relation_matrix(vectors,
+                                                     self.ambient_orders))
         self._keep = keep
         self.orders = tuple(diag[i] for i in keep)
         gens = []
@@ -503,35 +553,69 @@ class SubgroupPresentation:
         return tuple(x % d for x, d in zip(v, self.ambient_orders))
 
 
+def _relation_matrix(vectors, orders):
+    """Columns: the vectors, then orders[i] times the i-th unit vector."""
+    return transpose([list(v) for v in vectors] + _order_columns(orders))
+
+
+def _order_columns(orders):
+    """orders[i] times the i-th unit vector, skipping orders 0 (free)."""
+    k = len(orders)
+    return [[d if c == i else 0 for c in range(k)]
+            for i, d in enumerate(orders) if d]
+
+
+def _integer_kernel(vectors, orders):
+    """Integer vectors x, unreduced, with sum_i x_i vectors[i] = 0 modulo
+    the orders; the unit vectors when there are no orders at all."""
+    n = len(vectors)
+    if not orders:
+        return [[int(l == t) for l in range(n)] for t in range(n)]
+    return [col[:n] for col in kernel_basis(_relation_matrix(vectors, orders))]
+
+
 class QuotientPresentation:
-    """Presentation of (⊕ Z/d_i) / H with H a subgroup given by vectors."""
+    """Presentation of (⊕ Z/d_i) / H with H a subgroup given by vectors.
+
+    An ambient order 0 is a free coordinate Z, and an invariant factor 0
+    in ``orders`` a free summand of the quotient.  ``lifts``, ambient
+    elements mapping to the new basis, are computed only when every
+    ambient order is positive (None otherwise).
+    """
 
     def __init__(self, ambient_orders, sub_vectors):
         self.ambient_orders = tuple(ambient_orders)
         k = len(self.ambient_orders)
-        cols = [[self.ambient_orders[i] if c == i else 0 for c in range(k)]
-                for i in range(k)]
-        cols += [list(v) for v in sub_vectors]
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
         if k == 0:
             self.orders, self.lifts, self._u, self._s, self._keep = (), [], None, (), []
             return
-        s, u, _ = smith_normal_form(mat)
-        uinv = invert_unimodular(u)
-        diag = [s[i][i] for i in range(k)]
-        keep = [i for i in range(k) if diag[i] != 1]
+        cols = _order_columns(self.ambient_orders)
+        cols += [list(v) for v in sub_vectors]
+        s, u, _ = smith_normal_form(transpose(cols or [[0] * k]))
+        diag = [s[i][i] if i < len(s[i]) else 0 for i in range(k)]
         self._u = u
         self._s = diag
-        self._keep = keep
-        self.orders = tuple(diag[i] for i in keep)
-        self.lifts = [tuple(uinv[r][i] % self.ambient_orders[r] for r in range(k))
-                      for i in keep]
+        self._keep = [i for i in range(k) if diag[i] != 1]
+        self.orders = tuple(diag[i] for i in self._keep)
+        self.lifts = None
+        if all(self.ambient_orders):
+            uinv = invert_unimodular(u)
+            self.lifts = [tuple(uinv[r][i] % d
+                                for r, d in enumerate(self.ambient_orders))
+                          for i in self._keep]
 
     def project(self, v):
         if not self._keep:
             return ()
-        uv = mat_vec(self._u, list(v))
-        return tuple(uv[i] % self._s[i] for i in self._keep)
+        return self._reduce(mat_vec(self._u, list(v)))
+
+    def project_gen(self, i):
+        """project of the i-th ambient unit vector: column i of U."""
+        return self._reduce([row[i] for row in self._u])
+
+    def _reduce(self, uv):
+        return tuple(uv[r] % self._s[r] if self._s[r] else uv[r]
+                     for r in self._keep)
 
 
 def _ring_from_group(orders, gen_elements, host_mul, coords, unit_coords=None,
@@ -573,7 +657,7 @@ def quotient(ring, ideal_gens, label=None):
     unit_coords = pres.project(ring.unit) if ring.unit is not None else None
     q = validate_ring(pres.orders, table, unit=unit_coords,
                       label=label or f"{ring.label}/I")
-    proj = RingHom(ring, q, [pres.project(ring.gen(i)) for i in range(ring.ngens)],
+    proj = RingHom(ring, q, [pres.project_gen(i) for i in range(ring.ngens)],
                    label="proj")
     proj.validate()
     return q, proj, ideal
@@ -588,20 +672,14 @@ def pullback(f, g, label=None):
     """
     a_ring, b_ring, c_ring = f.source, g.source, f.target
     assert g.target is c_ring, "pullback legs must share their target"
-    ka, kb, kc = a_ring.ngens, b_ring.ngens, c_ring.ngens
+    ka = a_ring.ngens
     orders = a_ring.orders + b_ring.orders
 
     # integer kernel of (a, b) -> f(a) - g(b) modulo the orders of C
-    cols = [list(f.images[i]) for i in range(ka)]
-    cols += [list(c_ring.neg(g.images[j])) for j in range(kb)]
-    cols += [[c_ring.orders[i] if c == i else 0 for c in range(kc)]
-             for i in range(kc)]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(kc)]
-    vecs = [tuple(col[l] % orders[l] for l in range(ka + kb))
-            for col in (c[:ka + kb] for c in kernel_basis(mat))] if kc else \
-           [tuple(1 if l == t else 0 for l in range(ka + kb))
-            for t in range(ka + kb)]
-    pres = SubgroupPresentation(orders, vecs)
+    images = list(f.images) + [c_ring.neg(y) for y in g.images]
+    pres = SubgroupPresentation(orders, [
+        tuple(x % d for x, d in zip(v, orders))
+        for v in _integer_kernel(images, c_ring.orders)])
 
     def host_mul(x, y):
         return (a_ring.mul(x[:ka], y[:ka]) + b_ring.mul(x[ka:], y[ka:]))
@@ -663,17 +741,9 @@ def kernel_subring(f, label=None):
     coords the partial inverse (None off the kernel).
     """
     src, tgt = f.source, f.target
-    k, kt = src.ngens, tgt.ngens
-    cols = [list(f.images[i]) for i in range(k)]
-    cols += [[tgt.orders[i] if c == i else 0 for c in range(kt)]
-             for i in range(kt)]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(kt)]
-    if kt:
-        vecs = [tuple(col[l] % src.orders[l] for l in range(k))
-                for col in (c[:k] for c in kernel_basis(mat))]
-    else:
-        vecs = [src.gen(i) for i in range(k)]
-    pres = SubgroupPresentation(src.orders, vecs)
+    pres = SubgroupPresentation(src.orders, [
+        tuple(x % d for x, d in zip(v, src.orders))
+        for v in _integer_kernel(f.images, tgt.orders)])
     kr = _ring_from_group(pres.orders, pres.gens, src.mul, pres.coords,
                           label=label or f"ker({f.label or f'{src.label}->{tgt.label}'})")
     incl = RingHom(kr, src, pres.gens, label="incl")

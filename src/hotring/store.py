@@ -39,11 +39,17 @@ class ResultStore:
         return os.path.join(self.root, f"{key}.json")
 
     def load(self, key):
+        """The stored record, or None on a miss; an undecodable record
+        counts as a miss, so the command recomputes and rewrites it."""
         path = self.path_for(key)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                record = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        return record if isinstance(record, dict) else None
 
     def save(self, key, record):
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

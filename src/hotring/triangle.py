@@ -13,16 +13,15 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DepthExceeded, NotSurjective
+from .errors import DepthExceeded, HotringError, NotSurjective
 from .homotopy import (HomotopyCertificate, carrier_ring, eval_endpoint,
                        verify_certificate)
-from .intlin import smith_normal_form
 from .poly import (LoopRing, PathRing, Poly, PolyLike, PolyRing,
                    coefficient_map, imul, isub, ivar, one_minus, sigma_hom,
                    substitute, substitution_hom)
-from .rings import (FiniteRing, FuncHom, RingHom, compose, identity_hom,
-                    is_surjective, kernel_subring, pullback, validate_ring,
-                    zero_hom)
+from .rings import (FiniteRing, FuncHom, QuotientPresentation, RingHom,
+                    compose, identity_hom, is_surjective, kernel_subring,
+                    pullback, validate_ring, zero_hom)
 from .virtual import PairRing, mapping_path_ring
 
 
@@ -55,11 +54,6 @@ class FibrationFamily:
         return [(name, self.homs[name]) for name in self.fibration_names]
 
 
-def _same_hom(f, g):
-    return (f.source is g.source and f.target is g.target
-            and f.images == g.images)
-
-
 def check_axioms(family, probes=25, rng=None):
     """Check Ax1-Ax4 on the family's diagram; report per axiom."""
     import random
@@ -88,7 +82,7 @@ def check_axioms(family, probes=25, rng=None):
                 if not is_surjective(comp):
                     violations.append(f"{name_f} o {name_g} not surjective")
             else:
-                if not any(_same_hom(comp, h) for _, h in fibs):
+                if not any(comp == h for _, h in fibs):
                     violations.append(f"{name_f} o {name_g} not marked")
     if not family.all_surjective:
         for name, h in sorted(family.homs.items()):
@@ -105,11 +99,10 @@ def check_axioms(family, probes=25, rng=None):
         for name_f, f in sorted(family.homs.items()):
             if f.target is not g.target:
                 continue
-            d_ring, rho, _, _ = pullback(f, g)
+            _, rho, _, _ = pullback(f, g)
             squares += 1
             if not is_surjective(rho):
                 violations.append(f"pullback of {name_g} along {name_f}")
-            del d_ring
     report["Ax3"] = {"ok": not violations, "violations": violations,
                      "squares": squares}
 
@@ -304,7 +297,6 @@ class PuppeSequence:
         rng = rng or random.Random(0)
         failures = []
         for idx, mp in enumerate(self.stages):
-            tgt = mp.g.target
             for _ in range(probes):
                 c = mp.loops.sample(rng)
                 val = mp.j.apply(c)
@@ -316,7 +308,6 @@ class PuppeSequence:
             rep = verify_certificate(cert, probes=probes, rng=rng)
             if not rep.valid:
                 failures.append((idx, "null homotopy", rep.failure))
-            del tgt
         return {"ok": not failures, "failures": failures}
 
 
@@ -422,7 +413,7 @@ class TruncatedPuppe:
         for _ in range(length):
             c_ring = current.target
             trunc, eval1, include = truncated_path_ring(c_ring, m)
-            stage, rho, sigma_, embed = pullback(current, eval1)
+            stage, rho, _, embed = pullback(current, eval1)
             loops, lincl, _, _, _, _ = truncated_loop_ring(c_ring, m)
             j_images = []
             for t in range(loops.ngens):
@@ -434,7 +425,6 @@ class TruncatedPuppe:
             j.validate()
             self.stages.append((stage, rho, j, loops))
             current = rho
-            del sigma_
 
     def rings(self):
         """C, B, P(g), P(g_1), ... outermost last."""
@@ -758,11 +748,12 @@ class K0Diagram:
     def __init__(self, objects, weq=(), fib_seq=()):
         self.objects = list(objects)
         index = {label: i for i, label in enumerate(self.objects)}
-        for a, b in weq:
-            assert a in index and b in index, "weq edge references unknown object"
-        for f, e, b in fib_seq:
-            assert all(x in index for x in (f, e, b)), \
-                "fibre sequence references unknown object"
+        for kind, edges in (("weq edge", weq), ("fibre sequence", fib_seq)):
+            for edge in edges:
+                unknown = [x for x in edge if x not in index]
+                if unknown:
+                    raise HotringError(f"{kind} {list(edge)} references "
+                                       f"unknown object {unknown[0]!r}")
         self.weq = [tuple(edge) for edge in weq]
         self.fib_seq = [tuple(t) for t in fib_seq]
         self.index = index
@@ -798,24 +789,11 @@ class K0Result:
 
 def k0_presentation(diagram):
     """Free abelian group on the objects modulo the diagram relations."""
-    k = len(diagram.objects)
-    rows = diagram.relation_rows()
-    if not rows:
-        rows = [[0] * k] if k else []
-    mat = [[rows[r][i] for r in range(len(rows))] for i in range(k)]
-    if k == 0:
-        return K0Result(0, [], [], {})
-    s, u, _ = smith_normal_form(mat)
-    diag = [s[i][i] if i < len(rows) else 0 for i in range(k)]
-    keep = [i for i in range(k) if diag[i] != 1]
-    moduli = [diag[i] for i in keep]
-    classes = {}
-    for label, col in diagram.index.items():
-        coords = []
-        for i in keep:
-            c = u[i][col]
-            coords.append(c % diag[i] if diag[i] else c)
-        classes[label] = tuple(coords)
+    pres = QuotientPresentation((0,) * len(diagram.objects),
+                                diagram.relation_rows())
+    moduli = list(pres.orders)
+    classes = {label: pres.project_gen(col)
+               for label, col in diagram.index.items()}
     rank = sum(1 for m in moduli if m == 0)
     torsion = sorted(m for m in moduli if m not in (0, 1))
     return K0Result(rank, torsion, moduli, classes)

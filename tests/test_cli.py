@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -195,6 +197,68 @@ def test_unknown_ring_label_exit_one(workdir, capsys):
               {"source": "nowhere", "target": "sq0_z2", "images": [[0]]})
     code = main(["factorize", "--hom", str(workdir / "orphan.json")])
     assert code == 1
+
+
+def _run_optimized(workdir, argv):
+    """The CLI in a `python -O` subprocess, where asserts are stripped."""
+    import hotring
+    src = os.path.dirname(os.path.dirname(hotring.__file__))
+    env = dict(os.environ, PYTHONPATH=src, HOTRING_HOME=str(workdir / "store"))
+    return subprocess.run([sys.executable, "-O", "-m", "hotring.cli"]
+                          + [str(a) for a in argv] + ["--no-store"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+BAD_HOM = {"source": "sq0_z2", "target": "z2_unital", "images": [[1]]}
+BAD_DIAGRAM = {"objects": ["A"], "weq": [["A", "B"]]}
+
+
+def test_non_multiplicative_hom_exit_one(workdir, capsys):
+    dump_json(workdir / "bad.json", BAD_HOM)
+    code = main(["factorize", "--hom", str(workdir / "bad.json")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"].startswith("invalid homomorphism in ")
+    assert "multiplicativity fails on generators 0,0" in err["error"]
+
+
+def test_non_multiplicative_hom_exit_one_under_optimize(workdir):
+    dump_json(workdir / "bad.json", BAD_HOM)
+    done = _run_optimized(workdir, ["factorize", "--hom", workdir / "bad.json"])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout == ""
+    assert json.loads(done.stderr)["error"].startswith("invalid homomorphism in ")
+
+
+def test_k0_unknown_object_exit_one(workdir, capsys):
+    dump_json(workdir / "bad_diagram.json", BAD_DIAGRAM)
+    code = main(["k0", "--diagram", str(workdir / "bad_diagram.json")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert "unknown object 'B'" in err["error"]
+
+
+def test_k0_unknown_object_exit_one_under_optimize(workdir):
+    dump_json(workdir / "bad_diagram.json", BAD_DIAGRAM)
+    done = _run_optimized(workdir, ["k0", "--diagram",
+                                    workdir / "bad_diagram.json"])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "unknown object 'B'" in json.loads(done.stderr)["error"]
+
+
+def test_corrupt_store_record_is_recomputed(workdir, capsys):
+    argv = ["check-ring", workdir / "sq0_z2.json"]
+    code, first = run(capsys, argv)
+    assert code == 0
+    (record,) = (workdir / "store").glob("*.json")
+    text = record.read_text()
+    record.write_text(text[:len(text) // 2])
+    code, again = run(capsys, argv)
+    assert code == 0
+    assert json.loads(again)["payload"] == json.loads(first)["payload"]
+    assert json.loads(record.read_text())["payload"] == \
+        json.loads(first)["payload"]
 
 
 def test_round_trips():

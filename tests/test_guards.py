@@ -1,0 +1,28 @@
+"""Static guards on the package source."""
+
+import ast
+import pathlib
+
+import hotring
+
+SRC = pathlib.Path(hotring.__file__).parent
+
+
+def _catches_assertion_error(handler):
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return any(isinstance(k, ast.Name) and k.id == "AssertionError"
+               for k in kinds)
+
+
+def test_no_module_catches_assertion_error():
+    """Verdicts must not hinge on asserts, which `python -O` strips: no
+    handler may turn an AssertionError into a result."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and _catches_assertion_error(node):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

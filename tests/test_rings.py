@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hotring import (BadUnit, BudgetExceeded, IllDefined, NotAssociative,
-                     RingHom, additive_closure, corpus,
+                     RingHom, VerificationFailure, additive_closure, corpus,
                      enumerate_homs, identity_hom, ideal_closure,
                      is_surjective, kernel_subring, product_ring, pullback,
                      quotient, unitalization, validate_ring, zero_hom,
@@ -89,6 +89,19 @@ def test_enumerate_homs_sq0_to_two_z8():
 def test_enumerate_homs_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_homs(RINGS["tower3"], RINGS["tower3"], budget=3)
+
+
+def test_validate_rejects_with_typed_error():
+    src, tgt = RINGS["sq0_z2"], RINGS["z2_unital"]
+    with pytest.raises(VerificationFailure, match="multiplicativity") as err:
+        RingHom(src, tgt, [(1,)]).validate()
+    assert err.value.witness == (0, 0)
+    with pytest.raises(VerificationFailure, match="not in target"):
+        RingHom(src, tgt, [(2,)]).validate()
+    with pytest.raises(VerificationFailure, match="order of generator 0"):
+        RingHom(tgt, RINGS["z4_unital"], [(1,)]).validate()
+    with pytest.raises(VerificationFailure, match="2 generator images"):
+        RingHom(src, tgt, [(0,), (0,)]).validate()
 
 
 def test_unital_hom_need_not_preserve_unit():
@@ -204,6 +217,25 @@ def test_kernel_subring():
         assert h.apply(incl.apply(x)) == h.target.zero()
     assert coords((0, 0, 1)) is not None
     assert coords((1, 0, 0)) is None
+
+
+def test_presentations_on_empty_matrices():
+    from hotring.rings import QuotientPresentation, SubgroupPresentation
+    # no ambient coordinates at all
+    assert QuotientPresentation((), []).orders == ()
+    assert SubgroupPresentation((), []).orders == ()
+    # nothing to quotient by, and the trivial subgroup
+    assert QuotientPresentation((2, 3), []).orders == (6,)
+    assert SubgroupPresentation((2, 3), []).size() == 1
+    # free coordinates with no relations: one zero column stands in
+    free = QuotientPresentation((0, 0), [])
+    assert free.orders == (0, 0) and free.lifts is None
+    assert free.project((5, -2)) == (5, -2)
+    # a kernel into the zero ring (no target coordinates) is everything
+    r = RINGS["upper3_z2"]
+    ker, incl, _ = kernel_subring(zero_hom(r, zero_ring()))
+    assert ker.size() == r.size()
+    assert sorted(incl.apply(x) for x in ker.elements()) == sorted(r.elements())
 
 
 def test_product_ring():

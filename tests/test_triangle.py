@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hotring import (DepthExceeded, FibrationFamily, K0Diagram, LoopRing,
+from hotring import (DepthExceeded, FibrationFamily, HotringError,
+                     K0Diagram, LoopRing,
                      NotSurjective, PathRing, Poly, RingHom, check_axioms,
                      compose, corpus, enumerate_homs, factorize,
                      gl_fibration_flag, identity_hom, k0_presentation,
@@ -331,8 +332,10 @@ def test_k0_milnor_square_against_minor_gcd_oracle():
 
 
 def test_k0_unknown_object_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(HotringError, match="unknown object 'B'"):
         K0Diagram(["A"], weq=[("A", "B")])
+    with pytest.raises(HotringError, match="fibre sequence"):
+        K0Diagram(["A"], fib_seq=[("A", "A", "C")])
 
 
 # ---------------------------------------------------------------------------
