@@ -8,9 +8,9 @@ triangles and K_0 presentations.
 """
 
 from .errors import (BadUnit, BudgetExceeded, DepthExceeded, HotringError,
-                     IllDefined, IndexOutOfRange, MembershipViolation,
-                     NotAssociative, NotSurjective, UnknownVariable,
-                     VerificationFailure)
+                     IllDefined, IndexOutOfRange, MalformedInput,
+                     MembershipViolation, NotAssociative, NotSurjective,
+                     UnknownVariable, VerificationFailure)
 from .rings import (FiniteRing, FuncHom, Hom, IntegerRing, Ring, RingHom, ZZ,
                     additive_closure, canonicalize, compose, enumerate_homs,
                     ideal_closure, identity_hom, is_surjective,

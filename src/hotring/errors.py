@@ -37,6 +37,10 @@ class MembershipViolation(HotringError):
     pass
 
 
+class MalformedInput(HotringError):
+    """Parsed input that lacks a field or holds an entry of the wrong shape."""
+
+
 class BudgetExceeded(HotringError):
     def __init__(self, required, budget):
         self.required = required

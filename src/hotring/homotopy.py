@@ -15,7 +15,8 @@ import itertools
 
 from .errors import VerificationFailure
 from .poly import (PolyLike, PolyRing, coefficient_map, constant_of,
-                   evaluate, one_minus, slices, substitute)
+                   evaluate, imul, ivar, one_minus, slices, substitute,
+                   substitution_hom)
 from .rings import (FuncHom, RingHom, _UnionFind, _all_pairs,
                     _first_nonmultiplicative, _multiplicative_images, compose,
                     identity_hom, zero_hom)
@@ -495,14 +496,10 @@ def search_homotopy_equivalence(f, candidates, degree, budget=200_000,
 
 def path_contraction_certificate(paths, yvar="y"):
     """id ~ 0 on ER via p(x) -> p(xy); witnesses contractibility of ER."""
-    from .poly import imul, ivar
-
     var = paths.var
-    carrier = carrier_ring(paths, yvar)
-    h = FuncHom(paths, carrier,
-                lambda p: substitute(paths.scalar_base, p,
-                                     {var: imul(ivar(var), ivar(yvar))}),
-                label="E-contraction")
+    h = substitution_hom(paths, carrier_ring(paths, yvar),
+                         {var: imul(ivar(var), ivar(yvar))},
+                         label="E-contraction")
     return HomotopyCertificate(h, zero_hom(paths, paths),
                                identity_hom(paths), yvar)
 

@@ -20,7 +20,7 @@ substitution and the integer action.
 
 from __future__ import annotations
 
-from .errors import MembershipViolation, UnknownVariable
+from .errors import HotringError, MembershipViolation, UnknownVariable
 from .rings import FuncHom, Ring, ZZ
 
 
@@ -157,7 +157,8 @@ def constant_of(base, p):
     """The coefficient of the empty monomial; p must be constant."""
     if not p.terms:
         return base.zero()
-    assert len(p.terms) == 1 and p.terms[0][0] == (), f"{p!r} is not constant"
+    if len(p.terms) != 1 or p.terms[0][0] != ():
+        raise MembershipViolation(f"{p!r} is not constant")
     return p.terms[0][1]
 
 
@@ -212,29 +213,84 @@ def int_action(base, ip, p):
     return _canon(base, acc)
 
 
+class _Substitution:
+    """A simultaneous substitution compiled from its assignment.
+
+    An image with a single term (0, a constant, a rename such as
+    t_j -> t_{j-1}, a product of variables) acts on a monomial by exponent
+    arithmetic.  Only images that are sums are expanded, and each power
+    of one is formed once.  The integer polynomial a monomial of the
+    source goes to is memoized, so applying the plan to many polynomials
+    expands each monomial once.
+    """
+
+    __slots__ = ("assignment", "powers", "images")
+
+    def __init__(self, assignment):
+        for v in assignment:
+            if not isinstance(v, str):
+                raise UnknownVariable(str(v))
+        self.assignment = dict(assignment)
+        self.powers = {}        # (var, e) -> image of var to the e, for sums
+        self.images = {}        # monomial -> ((monomial, integer), ...)
+
+    def _power(self, v, e):
+        key = (v, e)
+        if key not in self.powers:
+            ip = self.assignment[v]
+            self.powers[key] = ip if e == 1 else imul(self._power(v, e - 1), ip)
+        return self.powers[key]
+
+    def _image(self, mono):
+        exps = {}
+        k = 1
+        sums = []
+        for v, e in mono:
+            ip = self.assignment.get(v)
+            if ip is None:
+                exps[v] = exps.get(v, 0) + e
+            elif not ip.terms:
+                return ()
+            elif len(ip.terms) == 1:
+                (m, n), = ip.terms
+                k *= n ** e
+                for w, f in m:
+                    exps[w] = exps.get(w, 0) + f * e
+            else:
+                sums.append((v, e))
+        out = Poly(((tuple(sorted(exps.items())), k),))
+        for v, e in sums:
+            out = imul(out, self._power(v, e))
+        return out.terms
+
+    def __call__(self, base, p):
+        images = self.images
+        acc = {}
+        for mono, c in p.terms:
+            img = images.get(mono)
+            if img is None:
+                img = images[mono] = self._image(mono)
+            for m, n in img:
+                if n == 1:
+                    nc = c
+                else:
+                    nc = base.scalar(n, c)
+                    if base.is_zero(nc):
+                        continue
+                acc[m] = base.add(acc[m], nc) if m in acc else nc
+        return _canon(base, acc)
+
+
 def substitute(base, p, assignment):
     """Substitute integer polynomials for variables, simultaneously.
 
     Central variables make this a ring homomorphism: coefficients commute
-    with every substituted expression.
+    with every substituted expression.  Each call compiles the assignment
+    into a fresh ``_Substitution``; ``substitution_hom`` compiles once and
+    keeps the plan, so renames and other single-term images cost exponent
+    arithmetic and each source monomial is expanded once per hom.
     """
-    for v in assignment:
-        if not isinstance(v, str):
-            raise UnknownVariable(str(v))
-    acc = {}
-    for mono, c in p.terms:
-        kept = tuple((v, e) for v, e in mono if v not in assignment)
-        ip = iconst(1)
-        for v, e in mono:
-            if v in assignment:
-                ip = imul(ip, ipow(assignment[v], e))
-        for m2, n in ip.terms:
-            nc = base.scalar(n, c)
-            if base.is_zero(nc):
-                continue
-            m = _mono_mul(kept, m2)
-            acc[m] = base.add(acc[m], nc) if m in acc else nc
-    return _canon(base, acc)
+    return _Substitution(assignment)(base, p)
 
 
 def evaluate(base, p, var, value):
@@ -256,7 +312,9 @@ class PolyLike(Ring):
     """
 
     def __init__(self, scalar_base, vars, label):
-        assert not isinstance(scalar_base, PolyLike)
+        if isinstance(scalar_base, PolyLike):
+            raise HotringError(f"{label}: the coefficient ring "
+                               f"{scalar_base.label} is itself polynomial")
         self.scalar_base = scalar_base
         self.vars = tuple(vars)
         self.label = label
@@ -455,8 +513,18 @@ def coefficient_map(hom, source, target, label=None):
 
 
 def substitution_hom(source, target, assignment, label=None):
+    """The ring hom p -> p(assignment) between polynomial-shaped rings.
+
+    The assignment is compiled once into a ``_Substitution`` held by the
+    hom: renames and other single-term images act by exponent arithmetic,
+    and the image of each source monomial is expanded once and reused on
+    every later call.  The plan dies with the hom.
+    """
+    plan = _Substitution(assignment)
+    sb = target.scalar_base
+
     def fn(p):
-        return substitute(target.scalar_base, p, assignment)
+        return plan(sb, p)
     return FuncHom(source, target, fn, label or f"subst{sorted(assignment)}")
 
 
@@ -492,13 +560,13 @@ def swap_homotopy(loop2, tvar="t"):
     sb = loop2.scalar_base
     target = PolyRing(sb, loop2.vars + (tvar,))
     unit = imul(loop_unit_ipoly(x), loop_unit_ipoly(y))
-    mix = {
+    mix = _Substitution({
         x: iadd(imul(ivar(tvar), ivar(x)), imul(one_minus(tvar), ivar(y))),
         y: iadd(imul(one_minus(tvar), ivar(x)), imul(ivar(tvar), ivar(y))),
-    }
+    })
 
     def fn(f):
         fprime = inner.factor(loop2.factor(f))
-        return int_action(sb, unit, substitute(sb, fprime, mix))
+        return int_action(sb, unit, mix(sb, fprime))
 
     return FuncHom(loop2, target, fn, label="swap_homotopy")

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (BadUnit, BudgetExceeded, IllDefined, NotAssociative,
-                     VerificationFailure)
+from .errors import (BadUnit, BudgetExceeded, HotringError, IllDefined,
+                     NotAssociative, VerificationFailure)
 from .intlin import (LinearSolver, invert_unimodular, kernel_basis, mat_vec,
                      smith_normal_form, transpose)
 
@@ -89,6 +89,9 @@ class IntegerRing(Ring):
     def scalar(self, n, a):
         return n * a
 
+    def is_zero(self, a):
+        return a == 0
+
     def contains(self, a):
         return isinstance(a, int)
 
@@ -108,6 +111,7 @@ class FiniteRing(Ring):
         self.table = tuple(tuple(self._reduce_raw(v) for v in row) for row in table)
         self.unit = self._reduce_raw(unit) if unit is not None else None
         self.label = label
+        self._zero = (0,) * self.ngens
         self.gl_groups = {}     # n -> GL_n over this ring, see glk.gl_group
 
     def _reduce_raw(self, v):
@@ -120,7 +124,10 @@ class FiniteRing(Ring):
         return tuple(1 if j == i else 0 for j in range(self.ngens))
 
     def zero(self):
-        return (0,) * self.ngens
+        return self._zero
+
+    def is_zero(self, a):
+        return a == self._zero
 
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
@@ -671,7 +678,8 @@ def pullback(f, g, label=None):
     of D (None when the pair is not in the fibre product).
     """
     a_ring, b_ring, c_ring = f.source, g.source, f.target
-    assert g.target is c_ring, "pullback legs must share their target"
+    if g.target is not c_ring:
+        raise HotringError("pullback legs must share their target")
     ka = a_ring.ngens
     orders = a_ring.orders + b_ring.orders
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import MalformedInput
 from .homotopy import HomotopyCertificate, carrier_ring
 from .poly import Poly
 from .rings import RingHom, validate_ring
@@ -27,9 +28,35 @@ def ring_to_json(ring):
     }
 
 
+def _field(data, key, kind):
+    """data[key], or MalformedInput naming the key when data lacks it."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{kind} must be a JSON object")
+    if key not in data:
+        raise MalformedInput(f"{kind} is missing {key!r}")
+    return data[key]
+
+
+def _list_of(value, kind, what):
+    """value, or MalformedInput unless it is a list of ``kind`` items."""
+    if not (isinstance(value, list)
+            and all(isinstance(v, kind) for v in value)):
+        raise MalformedInput(f"{what} must be a list of {kind.__name__} "
+                             "values")
+    return value
+
+
+def _registered(registry, label):
+    if not isinstance(label, str) or label not in registry:
+        raise MalformedInput(f"unknown ring label: {label}")
+    return registry[label]
+
+
 def ring_from_json(data):
-    return validate_ring(data["orders"],
-                         [[tuple(v) for v in row] for row in data["mul"]],
+    orders = _field(data, "orders", "ring")
+    mul = _field(data, "mul", "ring")
+    return validate_ring(orders,
+                         [[tuple(v) for v in row] for row in mul],
                          unit=tuple(data["unit"]) if data.get("unit") else None,
                          label=data.get("label", "R"))
 
@@ -43,9 +70,10 @@ def hom_to_json(hom):
 
 
 def hom_from_json(data, registry):
-    src = registry[data["source"]]
-    tgt = registry[data["target"]]
-    hom = RingHom(src, tgt, [tuple(img) for img in data["images"]],
+    src = _registered(registry, _field(data, "source", "hom"))
+    tgt = _registered(registry, _field(data, "target", "hom"))
+    images = _list_of(_field(data, "images", "hom"), list, "hom 'images'")
+    hom = RingHom(src, tgt, [tuple(img) for img in images],
                   label=data.get("label", ""))
     hom.validate()
     return hom
@@ -88,8 +116,14 @@ def certificate_from_json(data, registry):
 
 
 def k0_diagram_from_json(data):
-    return K0Diagram(data["objects"], weq=data.get("weq", ()),
-                     fib_seq=data.get("fib_seq", ()))
+    objects = _list_of(_field(data, "objects", "K0 diagram"), str,
+                       "K0 diagram 'objects'")
+    edges = {}
+    for key in ("weq", "fib_seq"):
+        what = f"K0 diagram {key!r}"
+        edges[key] = [_list_of(entry, str, f"{what} entry")
+                      for entry in _list_of(data.get(key, []), list, what)]
+    return K0Diagram(objects, weq=edges["weq"], fib_seq=edges["fib_seq"])
 
 
 def load_json(path):

@@ -21,7 +21,8 @@ class SimplexRing:
     """R[Delta^n] together with its face and degeneracy maps."""
 
     def __init__(self, base, level, prefix="t"):
-        assert level >= 0
+        if level < 0:
+            raise IndexOutOfRange(f"simplex level {level}")
         self.base = base
         self.level = level
         self.prefix = prefix

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DepthExceeded, HotringError, NotSurjective
+from .errors import DepthExceeded, MalformedInput, NotSurjective
 from .homotopy import (HomotopyCertificate, carrier_ring, eval_endpoint,
                        verify_certificate)
 from .poly import (LoopRing, PathRing, Poly, PolyLike, PolyRing,
@@ -748,12 +748,16 @@ class K0Diagram:
     def __init__(self, objects, weq=(), fib_seq=()):
         self.objects = list(objects)
         index = {label: i for i, label in enumerate(self.objects)}
-        for kind, edges in (("weq edge", weq), ("fibre sequence", fib_seq)):
+        for kind, edges, arity in (("weq edge", weq, 2),
+                                   ("fibre sequence", fib_seq, 3)):
             for edge in edges:
+                if len(edge) != arity:
+                    raise MalformedInput(f"{kind} {list(edge)} has "
+                                         f"{len(edge)} objects, not {arity}")
                 unknown = [x for x in edge if x not in index]
                 if unknown:
-                    raise HotringError(f"{kind} {list(edge)} references "
-                                       f"unknown object {unknown[0]!r}")
+                    raise MalformedInput(f"{kind} {list(edge)} references "
+                                         f"unknown object {unknown[0]!r}")
         self.weq = [tuple(edge) for edge in weq]
         self.fib_seq = [tuple(t) for t in fib_seq]
         self.index = index

@@ -247,6 +247,26 @@ def test_k0_unknown_object_exit_one_under_optimize(workdir):
     assert "unknown object 'B'" in json.loads(done.stderr)["error"]
 
 
+@pytest.mark.parametrize("command, flag, data, needle", [
+    ("factorize", "--hom", {"source": "sq0_z2", "target": "z2_unital"},
+     "hom is missing 'images'"),
+    ("factorize", "--hom", ["sq0_z2", "z2_unital"],
+     "hom must be a JSON object"),
+    ("k0", "--diagram", {"objects": ["A", "B"], "fib_seq": [["A", "B"]]},
+     "fibre sequence ['A', 'B'] has 2 objects, not 3"),
+    ("k0", "--diagram", {"weq": [["A", "A"]]},
+     "K0 diagram is missing 'objects'"),
+])
+def test_malformed_json_is_an_error_record(workdir, capsys, command, flag,
+                                           data, needle):
+    dump_json(workdir / "malformed.json", data)
+    code = main([command, flag, str(workdir / "malformed.json"),
+                 "--no-store"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert needle in err["error"]
+
+
 def test_corrupt_store_record_is_recomputed(workdir, capsys):
     argv = ["check-ring", workdir / "sq0_z2.json"]
     code, first = run(capsys, argv)

@@ -26,3 +26,13 @@ def test_no_module_catches_assertion_error():
                     and _catches_assertion_error(node):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_assert_in_polynomial_modules():
+    """The polynomial and simplicial layers check with typed errors only."""
+    offenders = []
+    for name in ("poly.py", "simplicial.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []

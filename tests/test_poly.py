@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hotring import (LoopRing, MembershipViolation, PathRing, Poly, PolyRing,
-                     UnknownVariable, constant_of, corpus, double_loop_ring,
-                     evaluate, ivar, monomial, one_minus, sigma_hom,
-                     slices, swap_homotopy, tau_hom)
-from hotring.poly import imul, int_action, ipow, isub, loop_unit_ipoly
+from hotring import (HotringError, LoopRing, MembershipViolation, PathRing,
+                     Poly, PolyLike, PolyRing, UnknownVariable, constant_of,
+                     corpus, double_loop_ring, evaluate, iconst, ivar,
+                     monomial, one_minus, sigma_hom, slices, substitute,
+                     substitution_hom, swap_homotopy, tau_hom)
+from hotring.poly import (iadd, imul, int_action, ipow, isub,
+                          loop_unit_ipoly)
 
 RINGS = corpus()
 
@@ -43,6 +46,19 @@ def test_unknown_variable_raises():
     ring = PolyRing(r, ("x",))
     with pytest.raises(UnknownVariable):
         ring.evaluate(ring.zero(), "z", 0)
+    # a non-str key is rejected even when there is no term to substitute in
+    with pytest.raises(UnknownVariable):
+        substitute(r, ring.zero(), {1: ivar("x")})
+    with pytest.raises(UnknownVariable):
+        substitution_hom(ring, ring, {("x",): ivar("x")})
+
+
+def test_malformed_constructions_raise_typed_errors():
+    r = RINGS["sq0_z2"]
+    with pytest.raises(MembershipViolation):
+        constant_of(r, monomial(r, (1,), (("x", 1),)))
+    with pytest.raises(HotringError):
+        PolyLike(PolyRing(r, ("x",)), ("y",), "nested")
 
 
 def test_t_to_ty_homotopy_endpoints():
@@ -215,3 +231,74 @@ def test_ipow_and_one_minus():
     assert p == Poly((((), 1), ((("x", 1),), -2), ((("x", 2),), 1)))
     assert isub(p, one_minus("x")) == Poly(
         (((("x", 1),), -1), ((("x", 2),), 1)))
+
+
+# compiled substitution against the per-term loop it replaced
+
+VARS = ("x", "y", "z")
+
+
+def _reference_substitute(base, p, assignment):
+    """The per-term loop: ipow of every assigned image, for every term."""
+    acc = {}
+    for mono, c in p.terms:
+        kept = dict((v, e) for v, e in mono if v not in assignment)
+        ip = iconst(1)
+        for v, e in mono:
+            if v in assignment:
+                ip = imul(ip, ipow(assignment[v], e))
+        for m2, n in ip.terms:
+            nc = base.scalar(n, c)
+            if base.is_zero(nc):
+                continue
+            m = dict(kept)
+            for v, e in m2:
+                m[v] = m.get(v, 0) + e
+            m = tuple(sorted(m.items()))
+            acc[m] = base.add(acc[m], nc) if m in acc else nc
+    return Poly(sorted((m, c) for m, c in acc.items() if not base.is_zero(c)))
+
+
+_var = st.sampled_from(VARS)
+_image = st.one_of(
+    st.integers(-3, 3).map(iconst),                              # 0, constants
+    _var.map(ivar),                                              # renames
+    st.tuples(_var, _var).map(lambda vw: imul(ivar(vw[0]), ivar(vw[1]))),
+    _var.map(one_minus),
+    _var.map(loop_unit_ipoly),                                   # x^2 - x
+    st.tuples(_var, _var, st.integers(-2, 2)).map(
+        lambda a: iadd(ivar(a[0]), imul(iconst(a[2]), ivar(a[1])))),
+)
+_assignment = st.one_of(
+    st.dictionaries(_var, _image, max_size=3),
+    st.just({"x": ivar("y"), "y": ivar("x")}),                   # swap
+)
+# a term is (generator, multiple, exponents of x, y, z)
+_terms = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3),
+                            st.tuples(*(st.integers(0, 3) for _ in VARS))),
+                  min_size=1, max_size=4)
+
+
+def _poly(ring, r, terms):
+    return ring.sum(ring.monomial(r.scalar(k, r.gen(g % r.ngens)),
+                                  tuple(zip(VARS, exps)))
+                    for g, k, exps in terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.sampled_from(sorted(RINGS)), assignment=_assignment,
+       polys=st.lists(_terms, min_size=1, max_size=5))
+@example(label="z3_unital", assignment={"x": iconst(-1), "y": iconst(2)},
+         polys=[[(0, 1, (2, 3, 1))]])
+def test_compiled_substitution_matches_per_term_loop(label, assignment,
+                                                     polys):
+    r = RINGS[label]
+    ring = PolyRing(r, VARS)
+    hom = substitution_hom(ring, ring, assignment)
+    # one hom, and its memo, serves many inputs; each must match a fresh
+    # call and the per-term reference
+    for terms in polys:
+        p = _poly(ring, r, terms)
+        want = _reference_substitute(r, p, assignment)
+        assert substitute(r, p, assignment) == want
+        assert hom.apply(p) == want

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from hotring import (BadUnit, BudgetExceeded, IllDefined, NotAssociative,
-                     RingHom, VerificationFailure, additive_closure, corpus,
+from hotring import (BadUnit, BudgetExceeded, HotringError, IllDefined,
+                     NotAssociative, RingHom, VerificationFailure,
+                     additive_closure, corpus,
                      enumerate_homs, identity_hom, ideal_closure,
                      is_surjective, kernel_subring, product_ring, pullback,
                      quotient, unitalization, validate_ring, zero_hom,
@@ -136,6 +137,9 @@ def test_pullback_over_zero_is_product():
     d, rho, sigma, _ = pullback(zero_hom(a, z), zero_hom(b, z))
     assert d.size() == a.size() * b.size()
     assert is_surjective(rho) and is_surjective(sigma)
+    # equal but distinct targets are not one cospan
+    with pytest.raises(HotringError, match="must share their target"):
+        pullback(zero_hom(a, zero_ring()), zero_hom(b, zero_ring()))
 
 
 def test_pullback_order_matches_brute_force():

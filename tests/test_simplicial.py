@@ -34,6 +34,8 @@ def test_face_degeneracy_index_bounds():
         s.degeneracy(5)
     with pytest.raises(IndexOutOfRange):
         SimplexRing(RINGS["sq0_z2"], 0).face(0)
+    with pytest.raises(IndexOutOfRange):
+        SimplexRing(RINGS["sq0_z2"], -1)
 
 
 def test_degeneracy_then_face_is_identity_level_two():
