@@ -11,9 +11,7 @@ negative beyond "not found at this bound".
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import VerificationFailure
+from .errors import HotringError, VerificationFailure
 from .poly import (PolyLike, PolyRing, coefficient_map, constant_of,
                    evaluate, imul, ivar, one_minus, slices, substitute,
                    substitution_hom)
@@ -324,45 +322,51 @@ def _annihilator(ring, order):
 def search_elementary(f0, f1, degree, budget=200_000, var="x"):
     """Search for a certificate f0 ~ f1 with images of degree <= degree.
 
-    The endpoint constraints pin the constant and top coefficients, so the
-    free choices per generator are the middle coefficients, drawn from the
-    annihilator of the generator order.  Returns a verified certificate or
-    a NotFoundAtBound verdict.
+    The image of generator i is searched as its coefficient slots
+    (lo, m_1, ..., m_{degree-1}, top): the endpoint constraints pin the
+    constant coefficient lo = f0(g_i) and the top one, top = f1(g_i) - lo -
+    sum m, so only the middle coefficients are searched, each drawn from
+    the annihilator of the generator order.  Multiplicativity in R[var] is
+    checked coefficient by coefficient on R elements as soon as the slots
+    it reads are assigned, and a failing prefix of slots skips every
+    completion (see rings._multiplicative_images); only the hit becomes
+    polynomials.  ``searched`` counts whole options, one per choice of all
+    middle coefficients of a generator, pruned ones included, so it is
+    the count of trying every option in turn.  Returns a verified
+    certificate or a NotFoundAtBound verdict.
     """
     src, ring = f0.source, f0.target
-    assert f1.source is src and f1.target is ring
+    if f1.source is not src or f1.target is not ring:
+        raise HotringError("f0 and f1 must share source and target")
     carrier = carrier_ring(ring, var)
 
-    per_gen = []
-    for i in range(src.ngens):
-        lo = f0.images[i]
-        hi = f1.images[i]
-        if degree == 0:
-            options = [(lo,)] if lo == hi else []
-        else:
-            ann = _annihilator(ring, src.orders[i])
-            options = []
-            for mid in itertools.product(ann, repeat=degree - 1):
-                top = ring.sub(hi, lo)
-                for c in mid:
-                    top = ring.sub(top, c)
-                options.append((lo,) + mid + (top,))
-        per_gen.append(options)
+    if degree == 0:
+        slots = [[[lo] if lo == hi else []]
+                 for lo, hi in zip(f0.images, f1.images)]
+        sums = None
+    else:
+        anns = {}
+        for d in src.orders:
+            if d not in anns:
+                anns[d] = _annihilator(ring, d)
+        slots = [[[lo]] + [anns[d]] * (degree - 1)
+                 for lo, d in zip(f0.images, src.orders)]
+        sums = f1.images
 
-    def to_poly(coeffs):
+    searched = [0]
+    found = next(_multiplicative_images(src, ring, slots, budget, sums=sums,
+                                        tried=searched),
+                 None)
+    if found is None:
+        return NotFoundAtBound(degree, searched[0])
+    images = []
+    for coeffs in found:
         acc = carrier.zero()
         for e, c in enumerate(coeffs):
             acc = carrier.add(acc, carrier.monomial(c, ((var, e),))
                               if e else carrier.const(c))
-        return acc
-
-    searched = [0]
-    found = next(_multiplicative_images(src, carrier, per_gen, budget,
-                                        to_image=to_poly, tried=searched),
-                 None)
-    if found is None:
-        return NotFoundAtBound(degree, searched[0])
-    cert = HomotopyCertificate(RingHom(src, carrier, found, label="h"),
+        images.append(acc)
+    cert = HomotopyCertificate(RingHom(src, carrier, images, label="h"),
                                f0, f1, var)
     report = verify_certificate(cert)
     if not report.valid:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import HotringError
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -35,7 +37,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a * v, summing over the nonzero entries of v only."""
+    support = [j for j, y in enumerate(v) if y]
+    return [sum(row[j] * v[j] for j in support) for row in a]
 
 
 def transpose(a):
@@ -140,7 +144,9 @@ def invert_unimodular(mat):
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(mat)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise HotringError("matrix was not unimodular")
         aug[col], aug[piv] = aug[piv], aug[col]
         scale = aug[col][col]
         aug[col] = [x / scale for x in aug[col]]
@@ -151,7 +157,8 @@ def invert_unimodular(mat):
     out = []
     for row in aug:
         vals = row[n:]
-        assert all(x.denominator == 1 for x in vals), "matrix was not unimodular"
+        if any(x.denominator != 1 for x in vals):
+            raise HotringError("matrix was not unimodular")
         out.append([int(x) for x in vals])
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import (BadUnit, BudgetExceeded, HotringError, IllDefined,
-                     NotAssociative, VerificationFailure)
+                     MalformedInput, NotAssociative, VerificationFailure)
 from .intlin import (LinearSolver, invert_unimodular, kernel_basis, mat_vec,
                      smith_normal_form, transpose)
 
@@ -112,6 +112,16 @@ class FiniteRing(Ring):
         self.unit = self._reduce_raw(unit) if unit is not None else None
         self.label = label
         self._zero = (0,) * self.ngens
+        # (i, ((j, ((l, t), ...)), ...)) for each generator i with a
+        # nonzero product g_i g_j: those j, each with the nonzero
+        # coordinates t of g_i g_j at l
+        products = []
+        for i, row in enumerate(self.table):
+            prods = tuple((j, tuple((l, t) for l, t in enumerate(v) if t))
+                          for j, v in enumerate(row) if any(v))
+            if prods:
+                products.append((i, prods))
+        self._products = tuple(products)
         self.gl_groups = {}     # n -> GL_n over this ring, see glk.gl_group
 
     def _reduce_raw(self, v):
@@ -139,17 +149,23 @@ class FiniteRing(Ring):
         return tuple((n * x) % d for x, d in zip(a, self.orders))
 
     def mul(self, a, b):
-        out = [0] * self.ngens
-        for i, x in enumerate(a):
-            if x == 0:
+        """Bilinear extension of the table, over the nonzero coordinates
+        of a and b and the nonzero generator products only."""
+        out = None
+        for i, prods in self._products:
+            x = a[i]
+            if not x:
                 continue
-            row = self.table[i]
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                c = x * y
-                for l, t in enumerate(row[j]):
-                    out[l] += c * t
+            if out is None:
+                out = [0] * self.ngens
+            for j, terms in prods:
+                y = b[j]
+                if y:
+                    c = x * y
+                    for l, t in terms:
+                        out[l] += c * t
+        if out is None:
+            return self._zero
         return tuple(x % d for x, d in zip(out, self.orders))
 
     def contains(self, a):
@@ -197,20 +213,22 @@ def zero_ring(label="0"):
 def validate_ring(orders, table, unit=None, label="R"):
     """Build a FiniteRing after checking all its invariants.
 
-    Raises IllDefined when a product is incompatible with the generator
-    orders, NotAssociative with the offending triple, BadUnit when a
-    claimed identity fails on some generator.
+    Raises MalformedInput when an order is not positive or the table has
+    the wrong shape, IllDefined when a product is incompatible with the
+    generator orders, NotAssociative with the offending triple, BadUnit
+    when a claimed identity fails on some generator.
     """
     orders = tuple(int(d) for d in orders)
     if any(d <= 0 for d in orders):
-        raise ValueError("generator orders must be positive")
+        raise MalformedInput("generator orders must be positive")
     k = len(orders)
     if len(table) != k or any(len(row) != k for row in table):
-        raise ValueError("structure constant table must be k x k")
+        raise MalformedInput("structure constant table must be k x k")
     for row in table:
         for v in row:
             if len(v) != k:
-                raise ValueError("structure constant entries must have length k")
+                raise MalformedInput(
+                    "structure constant entries must have length k")
 
     ring = FiniteRing(orders, table, unit=None, label=label)
 
@@ -366,56 +384,118 @@ def _first_nonmultiplicative(source, target, images, pairs):
     return None
 
 
-def _multiplicative_images(source, target, options, budget, to_image=None,
+def _multiplicative_images(source, target, slots, budget, sums=None,
                            tried=None):
-    """Depth-first search over generator images, options[i] listing the
-    candidates for generator i in the order they are tried.
+    """Depth-first search over generator images in target[x], the image of
+    generator i a coefficient tuple (c_{i,0}, ..., c_{i,D}); D = 0 for the
+    images of plain homomorphisms.
 
-    Yields every multiplicative assignment as a list of images, in
-    lexicographic order of the option indices.  to_image turns an option
-    into its image in target; tried[0] counts the candidates tried.
-    Raises BudgetExceeded before searching when the product of the option
-    counts exceeds budget.
+    slots[i] lists, for each searched coefficient of generator i in turn,
+    the candidates tried for it.  With sums, generator i has one more
+    coefficient, the top one, which is not searched: it is fixed by
+    c_{i,0} + ... + c_{i,D} = sums[i].  A choice of every searched
+    coefficient of generator i is one *option* for it.  Yields every
+    multiplicative assignment as a list of coefficient tuples, in
+    lexicographic order of the candidate indices.  Multiplicative means
+    sum_l t_ijl c_{l,e} = sum_{a+b=e} c_{i,a} c_{j,b} in target for every
+    generator pair (i, j) and every e, with t_ijl the structure constants
+    of source, i.e. the images multiply like the generators in target[x].
+
+    Coefficient e of pair (i, j) is checked with target arithmetic as soon
+    as the coefficients it reads are assigned, while the last generator
+    among i, j and the support of g_i g_j is assigned (never earlier, so
+    options are rejected one generator at a time).  A failing prefix skips
+    its whole subtree.  tried[0] counts options: a pruned prefix adds the
+    number of options it stands for, so the count is the one of trying
+    every option in turn.  Raises BudgetExceeded before searching when
+    the product of the option counts exceeds budget.
     """
     k = source.ngens
     total = 1
-    for opts in options:
-        total *= len(opts)
+    below = []      # below[i][s]: options a candidate for slot s stands for
+    for gen_slots in slots:
+        counts = [1] * len(gen_slots)
+        for s in range(len(gen_slots) - 1, 0, -1):
+            counts[s - 1] = counts[s] * len(gen_slots[s])
+        below.append(counts)
+        total *= counts[0] * len(gen_slots[0])
     if total > budget:
         raise BudgetExceeded(total, budget)
 
-    # a pair (i, j) can be checked once images for i, j and the support of
-    # g_i * g_j are all assigned
-    checks_at = [[] for _ in range(k)]
+    free = len(slots[0]) if k else 0      # the same for every generator
+    top = free if sums is not None else free - 1
+    # the (a, b) with a + b = e, both at most top
+    convolutions = [tuple((a, e - a) for a in range(max(0, e - top),
+                                                    min(e, top) + 1))
+                    for e in range(2 * top + 1)]
+    # checks[m][s]: the coefficient checks decided once coefficient s of
+    # generator m is assigned, as (i, j, e, terms of g_i g_j, (a, b) pairs)
+    checks = [[[] for _ in range(top + 1)] for _ in range(k)]
     for i, j in _all_pairs(source):
-        support = [l for l, c in enumerate(source.table[i][j]) if c]
-        checks_at[max([i, j] + support)].append((i, j))
+        terms = [(l, c) for l, c in enumerate(source.table[i][j]) if c]
+        m = max([i, j] + [l for l, _ in terms])
+        for e, pairs in enumerate(convolutions):
+            # coefficient e reads c_{l,e} for l in the support (e <= top
+            # only) and c_{i,a}, c_{j,b} for a + b = e; m is in the support
+            # when it is neither i nor j
+            if e <= top:
+                checks[m][e].append((i, j, e, terms, pairs))
+            else:
+                checks[m][top if m in (i, j) else 0].append(
+                    (i, j, e, (), pairs))
+
+    zero, add, mul, scalar = target.zero(), target.add, target.mul, target.scalar
+    coeffs = [[None] * (top + 1) for _ in range(k)]
+
+    def holds(todo):
+        for i, j, e, terms, pairs in todo:
+            lhs = zero
+            for l, t in terms:
+                lhs = add(lhs, scalar(t, coeffs[l][e]) if t != 1
+                          else coeffs[l][e])
+            ci, cj = coeffs[i], coeffs[j]
+            rhs = zero
+            for a, b in pairs:
+                rhs = add(rhs, mul(ci[a], cj[b]))
+            if lhs != rhs:
+                return False
+        return True
 
     tried = tried if tried is not None else [0]
-    images = [None] * k
 
-    def extend(step):
-        if step == k:
-            yield list(images)
+    def extend(m, s):
+        if m == k:
+            yield [tuple(c) for c in coeffs]
             return
-        for x in options[step]:
+        c = coeffs[m]
+        if s == free:
             tried[0] += 1
-            images[step] = x if to_image is None else to_image(x)
-            if _first_nonmultiplicative(source, target, images,
-                                        checks_at[step]) is None:
-                yield from extend(step + 1)
-        images[step] = None
+            if sums is not None:
+                rest = sums[m]
+                for x in c[:top]:
+                    rest = target.sub(rest, x)
+                c[top] = rest
+                if not holds(checks[m][top]):
+                    return
+            yield from extend(m + 1, 0)
+            return
+        for x in slots[m][s]:
+            c[s] = x
+            if holds(checks[m][s]):
+                yield from extend(m, s + 1)
+            else:
+                tried[0] += below[m][s]
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def enumerate_homs(source, target, budget=1_000_000):
     """All ring homomorphisms source -> target, in lexicographic order of
     generator image coordinates.  Both rings finite."""
-    candidates = [[x for x in target.elements()
-                   if target.is_zero(target.scalar(d, x))]
+    candidates = [[[x for x in target.elements()
+                    if target.is_zero(target.scalar(d, x))]]
                   for d in source.orders]
-    return [RingHom(source, target, images) for images in
+    return [RingHom(source, target, [c for (c,) in coeffs]) for coeffs in
             _multiplicative_images(source, target, candidates, budget)]
 
 
@@ -639,7 +719,9 @@ def _ring_from_group(orders, gen_elements, host_mul, coords, unit_coords=None,
         for j in range(k):
             prod = host_mul(gen_elements[i], gen_elements[j])
             c = coords(prod)
-            assert c is not None, "product escaped the presented subgroup"
+            if c is None:
+                raise VerificationFailure(
+                    "product escaped the presented subgroup", witness=(i, j))
             row.append(c)
         table.append(tuple(row))
     return validate_ring(orders, table, unit=unit_coords, label=label)

@@ -36,3 +36,96 @@ def minors_gcd_invariants(mat):
     for i in range(1, r + 1):
         out.append(0 if dets[i] == 0 else dets[i] // dets[i - 1])
     return out
+
+
+# ---------------------------------------------------------------------------
+# generator-level search: one whole image per option, as before the search
+# by coefficient
+
+
+def generator_level_images(source, target, options, budget, to_image=None,
+                           tried=None):
+    """Depth-first search over whole generator images, options[i] listing
+    the candidates for generator i; a pair (i, j) is checked with
+    rings._first_nonmultiplicative once i, j and the support of g_i g_j are
+    all assigned.  tried[0] counts every option tried."""
+    from hotring.errors import BudgetExceeded
+    from hotring.rings import _all_pairs, _first_nonmultiplicative
+
+    k = source.ngens
+    total = 1
+    for opts in options:
+        total *= len(opts)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    checks_at = [[] for _ in range(k)]
+    for i, j in _all_pairs(source):
+        support = [l for l, c in enumerate(source.table[i][j]) if c]
+        checks_at[max([i, j] + support)].append((i, j))
+    tried = tried if tried is not None else [0]
+    images = [None] * k
+
+    def extend(step):
+        if step == k:
+            yield list(images)
+            return
+        for x in options[step]:
+            tried[0] += 1
+            images[step] = x if to_image is None else to_image(x)
+            if _first_nonmultiplicative(source, target, images,
+                                        checks_at[step]) is None:
+                yield from extend(step + 1)
+        images[step] = None
+
+    return extend(0)
+
+
+def enumerate_homs_oracle(source, target, budget=1_000_000):
+    """Generator images of every hom source -> target, in search order."""
+    candidates = [[x for x in target.elements()
+                   if target.is_zero(target.scalar(d, x))]
+                  for d in source.orders]
+    return [tuple(images) for images in
+            generator_level_images(source, target, candidates, budget)]
+
+
+def search_elementary_oracle(f0, f1, degree, budget=200_000, var="x"):
+    """("hit", images) or ("miss", searched), the outcome of building a
+    polynomial for every option of every generator and checking whole
+    pairs in R[var]; raises BudgetExceeded like search_elementary."""
+    from itertools import product
+
+    from hotring.homotopy import carrier_ring
+
+    src, ring = f0.source, f0.target
+    carrier = carrier_ring(ring, var)
+    per_gen = []
+    for i in range(src.ngens):
+        lo, hi = f0.images[i], f1.images[i]
+        if degree == 0:
+            per_gen.append([(lo,)] if lo == hi else [])
+            continue
+        ann = sorted(x for x in ring.elements()
+                     if ring.is_zero(ring.scalar(src.orders[i], x)))
+        options = []
+        for mid in product(ann, repeat=degree - 1):
+            top = ring.sub(hi, lo)
+            for c in mid:
+                top = ring.sub(top, c)
+            options.append((lo,) + mid + (top,))
+        per_gen.append(options)
+
+    def to_poly(coeffs):
+        acc = carrier.zero()
+        for e, c in enumerate(coeffs):
+            acc = carrier.add(acc, carrier.monomial(c, ((var, e),))
+                              if e else carrier.const(c))
+        return acc
+
+    searched = [0]
+    found = next(generator_level_images(src, carrier, per_gen, budget,
+                                        to_image=to_poly, tried=searched),
+                 None)
+    if found is None:
+        return ("miss", searched[0])
+    return ("hit", tuple(found))

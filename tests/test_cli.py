@@ -256,12 +256,18 @@ def test_k0_unknown_object_exit_one_under_optimize(workdir):
      "fibre sequence ['A', 'B'] has 2 objects, not 3"),
     ("k0", "--diagram", {"weq": [["A", "A"]]},
      "K0 diagram is missing 'objects'"),
+    ("check-ring", None, {"orders": [0], "mul": [[[0]]]},
+     "generator orders must be positive"),
+    ("check-ring", None, {"orders": [2], "mul": [[]]},
+     "structure constant table must be k x k"),
+    ("check-ring", None, {"orders": [2], "mul": [[[0, 0]]]},
+     "structure constant entries must have length k"),
 ])
 def test_malformed_json_is_an_error_record(workdir, capsys, command, flag,
                                            data, needle):
     dump_json(workdir / "malformed.json", data)
-    code = main([command, flag, str(workdir / "malformed.json"),
-                 "--no-store"])
+    code = main([command] + ([flag] if flag else [])
+                + [str(workdir / "malformed.json"), "--no-store"])
     err = json.loads(capsys.readouterr().err)
     assert code == 1
     assert needle in err["error"]

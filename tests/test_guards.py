@@ -29,9 +29,10 @@ def test_no_module_catches_assertion_error():
 
 
 def test_no_assert_in_polynomial_modules():
-    """The polynomial and simplicial layers check with typed errors only."""
+    """The polynomial, simplicial, homotopy and integer linear algebra
+    layers check with typed errors only."""
     offenders = []
-    for name in ("poly.py", "simplicial.py"):
+    for name in ("poly.py", "simplicial.py", "homotopy.py", "intlin.py"):
         tree = ast.parse((SRC / name).read_text(), filename=name)
         offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
-from hotring import (BudgetExceeded, HomotopyCertificate, NotFoundAtBound,
-                     PathRing, RingHom, corpus, enumerate_homs,
+from hotring import (BudgetExceeded, HomotopyCertificate, HotringError,
+                     NotFoundAtBound, PathRing, RingHom, corpus, enumerate_homs,
                      flip_certificate, graded_certificate, homotopy_classes,
                      identity_hom, path_contraction_certificate,
                      postcompose_certificate, precompose_certificate,
@@ -12,6 +13,8 @@ from hotring import (BudgetExceeded, HomotopyCertificate, NotFoundAtBound,
                      search_up_to, verify_certificate, zero_hom, zero_ring,
                      GRADING)
 from hotring.homotopy import carrier_ring, constant_certificate
+
+from oracles import enumerate_homs_oracle, search_elementary_oracle
 
 RINGS = corpus()
 
@@ -216,3 +219,74 @@ def test_search_up_to_prefers_lowest_degree():
     cert = search_up_to(identity_hom(r), identity_hom(r), 2)
     # found at degree 0: images are constants
     assert all(img.degree_in("x") == 0 for img in cert.hom.images)
+
+
+# ---------------------------------------------------------------------------
+# the search by coefficient against the generator-level oracle
+
+
+LABELS = sorted(RINGS)
+CORPUS_HOMS = {(a, b): enumerate_homs(RINGS[a], RINGS[b])
+               for a in LABELS for b in LABELS}
+
+
+def test_enumerate_homs_order_matches_generator_level_search():
+    for (a, b), homs in CORPUS_HOMS.items():
+        assert [h.images for h in homs] == \
+            enumerate_homs_oracle(RINGS[a], RINGS[b]), (a, b)
+
+
+@st.composite
+def corpus_hom_pairs(draw):
+    homs = CORPUS_HOMS[draw(st.sampled_from(sorted(CORPUS_HOMS)))]
+    return draw(st.sampled_from(homs)), draw(st.sampled_from(homs))
+
+
+def _id_zero(label):
+    r = RINGS[label]
+    return identity_hom(r), zero_hom(r, r)
+
+
+# a miss whose count depends on checking the coefficients above the degree
+_HIGH_COEFFICIENTS = (
+    RingHom(RINGS["tower2"], RINGS["upper3_z2"], [(0, 0, 0), (1, 0, 0)]),
+    RingHom(RINGS["tower2"], RINGS["upper3_z2"], [(0, 0, 1), (0, 0, 0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=corpus_hom_pairs(), degree=st.integers(0, 4),
+       budget=st.sampled_from([20, 200_000]))
+@example(pair=_id_zero("z2_unital"), degree=3, budget=200_000)
+@example(pair=_id_zero("two_z8"), degree=4, budget=200_000)
+@example(pair=_id_zero("graded_dual"), degree=4, budget=200_000)
+@example(pair=_id_zero("upper3_z2"), degree=2, budget=200_000)
+@example(pair=_id_zero("tower3"), degree=3, budget=200_000)
+@example(pair=_id_zero("sq0_z2"), degree=1, budget=20)
+@example(pair=_HIGH_COEFFICIENTS, degree=2, budget=200_000)
+def test_search_by_coefficient_matches_generator_level_oracle(pair, degree,
+                                                              budget):
+    """Same certificate images, same searched count, same budget verdict
+    as building every option as a polynomial and checking whole pairs."""
+    f0, f1 = pair
+    try:
+        expected = search_elementary_oracle(f0, f1, degree, budget=budget)
+    except BudgetExceeded as exc:
+        event("budget")
+        with pytest.raises(BudgetExceeded) as got:
+            search_elementary(f0, f1, degree, budget=budget)
+        assert got.value.required == exc.required
+        return
+    event(expected[0])
+    outcome = search_elementary(f0, f1, degree, budget=budget)
+    if expected[0] == "miss":
+        assert isinstance(outcome, NotFoundAtBound)
+        assert (outcome.degree, outcome.searched) == (degree, expected[1])
+    else:
+        assert isinstance(outcome, HomotopyCertificate)
+        assert outcome.hom.images == expected[1]
+
+
+def test_search_needs_maps_with_one_source_and_target():
+    r, s = RINGS["sq0_z2"], RINGS["z2_unital"]
+    with pytest.raises(HotringError, match="share source and target"):
+        search_elementary(identity_hom(r), zero_hom(r, s), 1)

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from hotring import HotringError
 from hotring.intlin import (identity_matrix, invariant_factors,
                             invert_unimodular, kernel_basis, mat_mul, mat_vec,
                             smith_normal_form, solve_integer)
@@ -99,3 +102,21 @@ def test_invert_unimodular_roundtrip():
         _, u, _ = smith_normal_form(a)
         uinv = invert_unimodular(u)
         assert mat_mul(u, uinv) == identity_matrix(n)
+
+
+def test_invert_unimodular_rejects_other_matrices():
+    for mat in ([[2]], [[0]], [[1, 1], [1, 1]], [[2, 1], [0, 1]]):
+        with pytest.raises(HotringError, match="not unimodular"):
+            invert_unimodular(mat)
+
+
+def test_mat_vec_matches_dense_sum():
+    rng = random.Random(21)
+    for _ in range(200):
+        m = rng.randrange(0, 5)
+        n = rng.randrange(0, 6)
+        a = random_matrix(rng, m, n, -2, 2)
+        v = [rng.choice((0, 0, rng.randrange(-9, 10))) for _ in range(n)]
+        expected = [sum(a[i][j] * v[j] for j in range(n)) for i in range(m)]
+        assert mat_vec(a, v) == expected
+    assert mat_vec([[1, 2], [3, 4]], [0, 0]) == [0, 0]

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from hotring import (BadUnit, BudgetExceeded, HotringError, IllDefined,
-                     NotAssociative, RingHom, VerificationFailure,
-                     additive_closure, corpus,
-                     enumerate_homs, identity_hom, ideal_closure,
+                     NotAssociative, RingHom, TruncatedPuppe,
+                     VerificationFailure, additive_closure, canonicalize,
+                     corpus, enumerate_homs, identity_hom, ideal_closure,
                      is_surjective, kernel_subring, product_ring, pullback,
-                     quotient, unitalization, validate_ring, zero_hom,
-                     zero_ring)
+                     quotient, tower_homs, unitalization, validate_ring,
+                     zero_hom, zero_ring)
+from hotring.rings import _ring_from_group
 
 RINGS = corpus()
 
@@ -63,6 +64,38 @@ def test_ring_axioms_on_random_triples():
                                                            ring.mul(a, c))
             assert ring.mul(ring.add(a, b), c) == ring.add(ring.mul(a, c),
                                                            ring.mul(b, c))
+
+
+def _dense_mul(ring, a, b):
+    """The bilinear formula over every coordinate and every table entry."""
+    out = [0] * ring.ngens
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for l, t in enumerate(ring.table[i][j]):
+                out[l] += x * y * t
+    return tuple(v % d for v, d in zip(out, ring.orders))
+
+
+def test_sparse_mul_matches_dense_formula():
+    h, _ = tower_homs(RINGS)
+    rings = list(RINGS.values()) + TruncatedPuppe(h, 3, m=2).rings()
+    rings += [canonicalize(RINGS["graded_dual"])[0],
+              product_ring(RINGS["upper3_z2"], RINGS["z4_unital"])[0],
+              zero_ring()]
+    rng = random.Random(12)
+    for ring in rings:
+        pairs = [(ring.sample(rng), ring.sample(rng)) for _ in range(200)]
+        pairs += [(ring.gen(i), ring.gen(j)) for i in range(ring.ngens)
+                  for j in range(ring.ngens)]
+        for a, b in pairs:
+            assert ring.mul(a, b) == _dense_mul(ring, a, b), (ring.label, a, b)
+
+
+def test_product_outside_presentation_is_verification_failure():
+    ring = RINGS["two_z8"]
+    with pytest.raises(VerificationFailure, match="escaped") as err:
+        _ring_from_group((4,), [ring.gen(0)], ring.mul, lambda v: None)
+    assert err.value.witness == (0, 0)
 
 
 # ---------------------------------------------------------------------------
