@@ -11,14 +11,16 @@ from hotring import (circle_determinant, corpus, determinant_certificate,
 
 rings = corpus()
 
-# Quasi-inverses come from a strategy cascade.  Over a square-zero ring
-# the series truncates immediately: N = -M.
+# Over a finite ring the circle powers M, M o M, ... decide: M is
+# quasi-invertible exactly when they reach 0, and the last power before 0
+# is its quasi-inverse.  Over a square-zero ring that is N = -M.
 sq0 = rings["sq0_z2"]
 m = ((sq0.gen(0), sq0.zero()), (sq0.gen(0), sq0.gen(0)))
 print("square-zero witness:", quasi_inverse(sq0, m).witness)
 
-# Over the field F_3 the classical adjugate/determinant route decides
-# membership outright: a constant is quasi-invertible iff 1 + a is a unit.
+# Over the field F_3 a constant a is quasi-invertible iff 1 + a is a
+# unit; the circle powers of a = 2 repeat (2 o 2 = 2 + 2 + 4 = 2) without
+# reaching 0.
 f3 = rings["z3_unital"]
 print("F3, a=1:", quasi_inverse(f3, (((1,),),)).status)
 print("F3, a=2:", quasi_inverse(f3, (((2,),),)).status, "(1 + 2 = 0)")

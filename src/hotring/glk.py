@@ -16,6 +16,12 @@ candidate whose quasi-invertibility we cannot settle only
 under-identifies, so the computed quotient always surjects onto the
 true pi_0 at its size level and is monotone in the degree bound.
 
+Over a finite ring, quasi-invertibility is decided completely by the
+circle powers of M (see _circle_powers), and gl_group walks those powers
+so that each matrix is decided once.  Over A[t] the circle monoid is
+infinite, and a strategy cascade semi-decides: its unknown answers are
+the skipped candidates above.
+
 Path candidates are filtered by their end P(1), the sum of their
 coefficient matrices, before any quasi-inverse is sought over A[t].
 Evaluation at t = 1 is a ring hom A[t] -> A, so every quasi-invertible
@@ -131,20 +137,8 @@ def _det(ring, mat):
 
 
 def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def _minor(mat, i, j):
@@ -155,32 +149,19 @@ def _minor(mat, i, j):
 def _adjugate(ring, mat):
     n = len(mat)
     if n == 1:
-        raise AssertionError("adjugate of 1x1 handled by caller")
-    cof = [[ring.scalar(_minor_sign(i, j), _det(ring, _minor(mat, j, i)))
-            for j in range(n)] for i in range(n)]
-    return tuple(tuple(row) for row in cof)
+        return ((ring.const(_scalar_base(ring).unit),),)
+    return tuple(tuple(ring.scalar((-1) ** (i + j),
+                                   _det(ring, _minor(mat, j, i)))
+                       for j in range(n)) for i in range(n))
 
 
-def _minor_sign(i, j):
-    return 1 if (i + j) % 2 == 0 else -1
-
-
-def _unit_matrix_shift(ring, m, sign=1):
-    """I + sign*M over a ring that really has a unit element."""
-    base = _scalar_base(ring)
-    unit = base.unit
-    n = len(m)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = m[i][j] if sign == 1 else ring.neg(m[i][j])
-            if i == j:
-                u = ring.const(unit) if isinstance(ring, PolyLike) else unit
-                e = ring.add(e, u)
-            row.append(e)
-        out.append(tuple(row))
-    return tuple(out)
+def _unit_matrix_shift(ring, m):
+    """I + M over a ring that really has a unit element."""
+    unit = _scalar_base(ring).unit
+    if isinstance(ring, PolyLike):
+        unit = ring.const(unit)
+    return tuple(tuple(ring.add(e, unit) if i == j else e
+                       for j, e in enumerate(row)) for i, row in enumerate(m))
 
 
 def _is_nilpotent_element(ring, x):
@@ -195,16 +176,11 @@ def _is_nilpotent_element(ring, x):
 
 
 def _invert_in_unital(ring, u):
-    """Multiplicative inverse of u in a finite commutative unital ring or
-    in its polynomial extension; None when u is not a unit.  Complete for
-    commutative bases: a polynomial is a unit exactly when its constant
-    term is a unit and every higher coefficient is nilpotent."""
+    """Multiplicative inverse of u in the polynomial extension of a finite
+    commutative unital ring; None when u is not a unit.  Complete: a
+    polynomial is a unit exactly when its constant term is a unit and
+    every higher coefficient is nilpotent."""
     base = _scalar_base(ring)
-    if not isinstance(ring, PolyLike):
-        for v in base.elements():
-            if ring.mul(u, v) == base.unit and ring.mul(v, u) == base.unit:
-                return v
-        return None
     var = ring.vars[-1]
     u0_poly = evaluate(base, u, var, 0)
     u0 = constant_of(base, u0_poly)
@@ -228,15 +204,44 @@ def _invert_in_unital(ring, u):
     return ring.mul(inv0p, acc)
 
 
-def quasi_inverse(ring, m, witness_degree=None, budget=200_000):
-    """Strategy cascade for a quasi-inverse of the square matrix m.
+def _circle_powers(ring, m):
+    """The circle powers m, m o m, ... of a square matrix over a finite
+    ring, up to the first one that is 0 or repeats, and whether 0 came.
 
+    (M_n(A), o) is a finite monoid with identity 0, so m is quasi-invertible
+    exactly when m^{o(k+1)} = 0 for some k, and m^{o k} is then its unique
+    inverse (Jacobson, Amer. J. Math. 67, 1945; Howie, Fundamentals of
+    Semigroup Theory, 1995, ch. 1).  A repeat before 0 rules out every
+    power too: m^{o j} o N = 0 would make m^{o(j-1)} o N a right inverse
+    of m, and in a finite monoid a right inverse is two-sided."""
+    zero = mat_zero(ring, len(m))
+    powers = {}                 # insertion-ordered, with set lookup
+    p = m
+    while p != zero and p not in powers:
+        powers[p] = None
+        p = circle(ring, p, m)
+    return list(powers), p == zero
+
+
+def quasi_inverse(ring, m, witness_degree=None, budget=200_000):
+    """Quasi-inverse of the square matrix m, with the strategy trace.
+
+    Over a finite ring the circle powers of m decide completely, with no
+    budget.  Over A[t], whose circle monoid is infinite, a cascade runs:
     (a) nilpotent coefficient ring: alternating geometric series;
     (b) commutative unital coefficient ring: classical inversion of I + M
         by adjugate and determinant (complete: not_qi answers are final);
-    (c) bounded enumeration up to witness_degree;
+    (c) bounded enumeration of witnesses up to witness_degree;
     otherwise unknown, with the strategy trace attached.
     """
+    if isinstance(ring, FiniteRing):
+        powers, reached_zero = _circle_powers(ring, m)
+        trace = [f"circle powers({len(powers)})"]
+        if not reached_zero:
+            return QiResult("not_qi", None, trace)
+        # m = 0 is its own inverse
+        return QiResult("ok", powers[-1] if powers else m, trace)
+
     trace = []
     base = _scalar_base(ring)
     n = len(m)
@@ -259,37 +264,19 @@ def quasi_inverse(ring, m, witness_degree=None, budget=200_000):
         if base.unit is not None and _is_commutative(base):
             trace.append("unital-commutative")
             shifted = _unit_matrix_shift(ring, m)
-            det = _det(ring, shifted)
-            inv_det = _invert_in_unital(ring, det)
+            inv_det = _invert_in_unital(ring, _det(ring, shifted))
             if inv_det is None:
                 return QiResult("not_qi", None, trace + ["determinant not a unit"])
-            if n == 1:
-                inverse = ((ring.mul(inv_det,
-                                     ring.const(base.unit)
-                                     if isinstance(ring, PolyLike)
-                                     else base.unit),),)
-            else:
-                adj = _adjugate(ring, shifted)
-                inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
-                                for row in adj)
-            identity = _unit_matrix_shift(ring, mat_zero(ring, n), sign=1)
+            inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
+                            for row in _adjugate(ring, shifted))
+            identity = _unit_matrix_shift(ring, mat_zero(ring, n))
             witness = mat_add(ring, inverse, mat_neg(ring, identity))
             if is_circle_witness(ring, m, witness):
                 return QiResult("ok", witness, trace)
             trace.append("classical inverse failed verification")
 
     # (c) bounded enumeration
-    if isinstance(ring, FiniteRing):
-        count = ring.size() ** (n * n)
-        if count <= budget:
-            trace.append(f"enumeration({count})")
-            for cand in itertools.product(ring.elements(), repeat=n * n):
-                w = tuple(tuple(cand[i * n + j] for j in range(n))
-                          for i in range(n))
-                if is_circle_witness(ring, m, w):
-                    return QiResult("ok", w, trace)
-            return QiResult("not_qi", None, trace)
-    elif isinstance(ring, PolyRing) and isinstance(base, FiniteRing) \
+    if isinstance(ring, PolyRing) and isinstance(base, FiniteRing) \
             and witness_degree is not None:
         var = ring.vars[-1]
         count = base.size() ** (n * n * (witness_degree + 1))
@@ -410,25 +397,31 @@ class CircleGroup:
 
 
 def gl_group(ring, n, budget=200_000):
-    """Enumerate GL_n over a finite ring, with witnesses; memoized on the
-    ring, so the group lives exactly as long as the ring."""
+    """GL_n over a finite ring, with witnesses: the circle powers of each
+    matrix not yet decided settle it and all its powers at once.  Memoized
+    on the ring, so the group lives exactly as long as the ring."""
     if n in ring.gl_groups:
         return ring.gl_groups[n]
     count = ring.size() ** (n * n)
     if count > budget:
         raise BudgetExceeded(count, budget)
-    elements = []
+    zero = mat_zero(ring, n)
     witnesses = {}
+    outside = set()
     for cand in itertools.product(ring.elements(), repeat=n * n):
         m = tuple(tuple(cand[i * n + j] for j in range(n)) for i in range(n))
-        res = quasi_inverse(ring, m, budget=budget)
-        if res.status == "ok":
-            elements.append(m)
-            witnesses[m] = res.witness
-        elif res.status == "unknown":
-            raise VerificationFailure(
-                f"quasi-invertibility undecided for {m} over {ring.label}")
-    group = CircleGroup(ring, n, sorted(elements), witnesses)
+        if m in witnesses or m in outside:
+            continue
+        powers, reached_zero = _circle_powers(ring, m)
+        if not reached_zero:
+            outside.update(powers)
+            continue
+        # m^{o(k+1)} = 0: the powers m^{o j}, j = 0..k, form a cyclic
+        # group in which m^{o j} has inverse m^{o(k+1-j)}
+        cycle = [zero] + powers
+        for j, p in enumerate(cycle):
+            witnesses[p] = cycle[-j]
+    group = CircleGroup(ring, n, sorted(witnesses), witnesses)
     ring.gl_groups[n] = group
     return group
 

@@ -41,13 +41,6 @@ class Poly:
     def is_zero_poly(self):
         return not self.terms
 
-    def variables(self):
-        out = set()
-        for mono, _ in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
-
     def degree_in(self, var):
         d = 0
         for mono, _ in self.terms:

@@ -210,25 +210,38 @@ def zero_ring(label="0"):
     return FiniteRing((), (), unit=(), label=label)
 
 
+def _check_vector(v, k, what):
+    if not (isinstance(v, (list, tuple)) and len(v) == k):
+        raise MalformedInput(f"{what} must have length k")
+    if not all(type(c) is int for c in v):      # no bool, no float
+        raise MalformedInput(f"{what} must be integers")
+
+
 def validate_ring(orders, table, unit=None, label="R"):
     """Build a FiniteRing after checking all its invariants.
 
-    Raises MalformedInput when an order is not positive or the table has
-    the wrong shape, IllDefined when a product is incompatible with the
-    generator orders, NotAssociative with the offending triple, BadUnit
-    when a claimed identity fails on some generator.
+    Raises MalformedInput when an order, a structure constant or the unit
+    is not made of integers (bools and floats included), an order is not
+    positive or the table has the wrong shape, IllDefined when a product
+    is incompatible with the generator orders, NotAssociative with the
+    offending triple, BadUnit when a claimed identity fails on some
+    generator.
     """
-    orders = tuple(int(d) for d in orders)
+    if not (isinstance(orders, (list, tuple))
+            and all(type(d) is int for d in orders)):
+        raise MalformedInput("generator orders must be integers")
     if any(d <= 0 for d in orders):
         raise MalformedInput("generator orders must be positive")
     k = len(orders)
-    if len(table) != k or any(len(row) != k for row in table):
+    if not (isinstance(table, (list, tuple)) and len(table) == k
+            and all(isinstance(row, (list, tuple)) and len(row) == k
+                    for row in table)):
         raise MalformedInput("structure constant table must be k x k")
     for row in table:
         for v in row:
-            if len(v) != k:
-                raise MalformedInput(
-                    "structure constant entries must have length k")
+            _check_vector(v, k, "structure constant entries")
+    if unit is not None:
+        _check_vector(unit, k, "the unit")
 
     ring = FiniteRing(orders, table, unit=None, label=label)
 
@@ -344,8 +357,8 @@ class FuncHom(Hom):
 
 
 def compose(g, f, label=""):
-    assert f.target is g.source or f.target.label == g.source.label, \
-        f"cannot compose {f} with {g}"
+    if not (f.target is g.source or f.target.label == g.source.label):
+        raise HotringError(f"cannot compose {f} with {g}")
     if isinstance(f, RingHom):
         return RingHom(f.source, g.target, [g.apply(x) for x in f.images],
                        label=label or f"{g.label}*{f.label}")
@@ -630,14 +643,6 @@ class SubgroupPresentation:
         w = sol[:self._m]
         uw = mat_vec(self._u, w)
         return tuple(uw[i] % self._s[i] for i in self._keep)
-
-    def element_of(self, coords):
-        k = len(self.ambient_orders)
-        v = [0] * k
-        for c, g in zip(coords, self.gens):
-            for l in range(k):
-                v[l] += c * g[l]
-        return tuple(x % d for x, d in zip(v, self.ambient_orders))
 
 
 def _relation_matrix(vectors, orders):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import MalformedInput
+from .errors import HotringError, MalformedInput
 from .homotopy import HomotopyCertificate, carrier_ring
 from .poly import Poly
 from .rings import RingHom, validate_ring
@@ -55,9 +55,7 @@ def _registered(registry, label):
 def ring_from_json(data):
     orders = _field(data, "orders", "ring")
     mul = _field(data, "mul", "ring")
-    return validate_ring(orders,
-                         [[tuple(v) for v in row] for row in mul],
-                         unit=tuple(data["unit"]) if data.get("unit") else None,
+    return validate_ring(orders, mul, unit=data.get("unit") or None,
                          label=data.get("label", "R"))
 
 
@@ -93,7 +91,8 @@ def poly_from_json(data):
 
 
 def certificate_to_json(cert):
-    assert isinstance(cert.hom, RingHom), "only finite-source certificates serialize"
+    if not isinstance(cert.hom, RingHom):
+        raise HotringError("only finite-source certificates serialize")
     return {
         "source": cert.source.label,
         "target": cert.target.label,

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DepthExceeded, MalformedInput, NotSurjective
+from .errors import (DepthExceeded, HotringError, MalformedInput,
+                     NotSurjective, VerificationFailure)
 from .homotopy import (HomotopyCertificate, carrier_ring, eval_endpoint,
                        verify_certificate)
 from .poly import (LoopRing, PathRing, Poly, PolyLike, PolyRing,
@@ -369,7 +370,7 @@ def truncated_path_ring(c_ring, m, label=None):
             if e >= top:
                 for b, cc in reduce_exp(e).items():
                     if b == 0:
-                        raise AssertionError("reduction hit degree 0")
+                        raise VerificationFailure("reduction hit degree 0")
                     v[idx[(i, b)]] += c * cc
             else:
                 v[idx[(i, e)]] += c
@@ -419,7 +420,9 @@ class TruncatedPuppe:
             for t in range(loops.ngens):
                 elem = lincl.apply(loops.gen(t))
                 d = embed(current.source.zero(), elem)
-                assert d is not None, "j image not in the pullback"
+                if d is None:
+                    raise VerificationFailure("j image not in the pullback",
+                                              witness=elem)
                 j_images.append(d)
             j = RingHom(loops, stage, j_images, label="j")
             j.validate()
@@ -651,7 +654,8 @@ def octahedron(h, k, probes=40, rng=None):
     import random
     rng = rng or random.Random(0)
     b_ring, c_ring, d_ring = h.source, h.target, k.target
-    assert k.source is c_ring
+    if k.source is not c_ring:
+        raise HotringError("k must start where h ends")
     if not is_surjective(h):
         raise NotSurjective("h is not surjective")
     if not is_surjective(k):

@@ -129,3 +129,63 @@ def search_elementary_oracle(f0, f1, degree, budget=200_000, var="x"):
     if found is None:
         return ("miss", searched[0])
     return ("hit", tuple(found))
+
+
+# ---------------------------------------------------------------------------
+# quasi-invertibility over a finite ring by the strategy cascade that came
+# before the circle-power walk
+
+
+def matrices(ring, n):
+    """Every n x n matrix over the finite ring, in enumeration order."""
+    from itertools import product
+
+    return [tuple(tuple(cand[i * n + j] for j in range(n)) for i in range(n))
+            for cand in product(ring.elements(), repeat=n * n)]
+
+
+def witnesses_by_enumeration(ring, m):
+    """Every N with m o N = 0 = N o m, by trying all n x n matrices."""
+    from hotring.glk import is_circle_witness
+
+    return [w for w in matrices(ring, len(m)) if is_circle_witness(ring, m, w)]
+
+
+def quasi_inverse_cascade(ring, m, budget=200_000):
+    """(status, witness) over a finite ring: (a) the alternating series
+    over a nilpotent ring, (b) adjugate and determinant of I + m over a
+    commutative unital ring, (c) enumeration of every witness within the
+    budget; otherwise ("unknown", None)."""
+    from hotring.glk import (_adjugate, _det, _is_commutative,
+                             _unit_matrix_shift, is_circle_witness, mat_add,
+                             mat_mul, mat_neg, mat_zero)
+
+    n = len(m)
+    e = ring.nilpotency_class()
+    if e is not None:
+        power, acc, sign = m, mat_zero(ring, n), -1
+        for _ in range(1, e):
+            acc = mat_add(ring, acc, power if sign == 1
+                          else mat_neg(ring, power))
+            power = mat_mul(ring, power, m)
+            sign = -sign
+        if is_circle_witness(ring, m, acc):
+            return "ok", acc
+    if ring.unit is not None and _is_commutative(ring):
+        shifted = _unit_matrix_shift(ring, m)
+        det = _det(ring, shifted)
+        inv_det = next((v for v in ring.elements()
+                        if ring.mul(det, v) == ring.unit), None)
+        if inv_det is None:
+            return "not_qi", None
+        adj = ((ring.unit,),) if n == 1 else _adjugate(ring, shifted)
+        inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
+                        for row in adj)
+        identity = _unit_matrix_shift(ring, mat_zero(ring, n))
+        witness = mat_add(ring, inverse, mat_neg(ring, identity))
+        if is_circle_witness(ring, m, witness):
+            return "ok", witness
+    if ring.size() ** (n * n) <= budget:
+        found = witnesses_by_enumeration(ring, m)
+        return ("ok", found[0]) if found else ("not_qi", None)
+    return "unknown", None

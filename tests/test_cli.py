@@ -262,6 +262,14 @@ def test_k0_unknown_object_exit_one_under_optimize(workdir):
      "structure constant table must be k x k"),
     ("check-ring", None, {"orders": [2], "mul": [[[0, 0]]]},
      "structure constant entries must have length k"),
+    ("check-ring", None, {"orders": ["a"], "mul": [[[0]]]},
+     "generator orders must be integers"),
+    ("check-ring", None, {"orders": [2], "mul": [[["x"]]]},
+     "structure constant entries must be integers"),
+    ("check-ring", None, {"orders": [2.7], "mul": [[[1.9]]]},
+     "generator orders must be integers"),
+    ("check-ring", None, {"orders": [2], "mul": [[[1.9]]]},
+     "structure constant entries must be integers"),
 ])
 def test_malformed_json_is_an_error_record(workdir, capsys, command, flag,
                                            data, needle):
@@ -298,3 +306,10 @@ def test_round_trips():
     assert certificate_to_json(back) == data
     p = cert.hom.images[0]
     assert poly_from_json(poly_to_json(p)) == p
+
+
+def test_certificate_with_an_infinite_source_does_not_serialize():
+    from hotring import HotringError, PathRing, path_contraction_certificate
+    cert = path_contraction_certificate(PathRing(RINGS["sq0_z2"], "x"), "y")
+    with pytest.raises(HotringError, match="only finite-source"):
+        certificate_to_json(cert)

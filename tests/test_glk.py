@@ -12,10 +12,11 @@ import hotring
 from hotring import (BadUnit, CircleGroup, PolyRing, QiMatrix,
                      VerificationFailure, circle, circle_determinant, corpus,
                      determinant_certificate, gl_group, kv1_approx,
-                     quasi_inverse, stabilize, strict_pi0)
+                     quasi_inverse, stabilize, strict_pi0, validate_ring)
 from hotring.glk import (_poly_matrix, _quotient_invariants,
                          is_circle_witness, mat_zero)
 from hotring.poly import constant_of, evaluate
+from oracles import matrices, quasi_inverse_cascade, witnesses_by_enumeration
 
 RINGS = corpus()
 
@@ -403,3 +404,66 @@ def test_kv1_nilpotent_base_is_trivial(label, n):
     pres = kv1_approx(RINGS[label], n, 1)
     assert pres.order == 1
     assert len(pres.subgroup) == pres.group.order()
+
+
+# ---------------------------------------------------------------------------
+# circle powers against the strategy cascade they replaced, and against
+# brute force where that cascade had only its enumeration
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_finite_quasi_inverse_matches_the_cascade(label, n):
+    ring = RINGS[label]
+    expected = {}
+    for m in matrices(ring, n):
+        status, witness = quasi_inverse_cascade(ring, m)
+        res = quasi_inverse(ring, m)
+        assert (res.status, res.witness) == (status, witness)
+        if status == "ok":
+            expected[m] = witness
+    group = gl_group(ring, n)
+    assert group.elements == sorted(expected)
+    assert group.witnesses == expected
+
+
+def _upper_triangular_f2():
+    """T_2(F_2) on e11, e12, e22: unital, not commutative, not nilpotent,
+    so only enumeration settled it before the circle powers."""
+    return validate_ring(
+        (2, 2, 2),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+         ((0, 0, 0), (0, 0, 0), (0, 1, 0)),
+         ((0, 0, 0), (0, 0, 0), (0, 0, 1))),
+        unit=(1, 0, 1), label="T2_F2")
+
+
+def _check_against_brute_force(ring, group, m):
+    found = witnesses_by_enumeration(ring, m)
+    assert len(found) <= 1              # quasi-inverses are unique
+    res = quasi_inverse(ring, m)
+    assert res.status == ("ok" if found else "not_qi")
+    assert res.witness == (found[0] if found else None)
+    assert group.witnesses.get(m) == res.witness
+
+
+def test_gl1_upper_triangular_f2_by_brute_force():
+    ring = _upper_triangular_f2()
+    group = gl_group(ring, 1)
+    e12 = ((ring.gen(1),),)
+    assert group.elements == [mat_zero(ring, 1), e12]
+    for m in matrices(ring, 1):
+        _check_against_brute_force(ring, group, m)
+    assert group.verify_group_axioms()
+
+
+def test_gl2_upper_triangular_f2_by_brute_force():
+    ring = _upper_triangular_f2()
+    group = gl_group(ring, 2)
+    # I + M runs over the invertible upper triangular block matrices:
+    # two diagonal blocks in GL_2(F_2) and any corner block in M_2(F_2)
+    assert group.order() == 6 * 6 * 16
+    rng = random.Random(6)
+    outside = [m for m in matrices(ring, 2) if m not in group.index]
+    for m in rng.sample(group.elements, 4) + rng.sample(outside, 4):
+        _check_against_brute_force(ring, group, m)

@@ -28,12 +28,20 @@ def test_no_module_catches_assertion_error():
     assert offenders == []
 
 
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_in_polynomial_modules():
-    """The polynomial, simplicial, homotopy and integer linear algebra
-    layers check with typed errors only."""
+    """Every module, the polynomial, simplicial, homotopy and integer
+    linear algebra layers among them, checks with typed errors only:
+    no assert statement and no raise of AssertionError."""
     offenders = []
-    for name in ("poly.py", "simplicial.py", "homotopy.py", "intlin.py"):
-        tree = ast.parse((SRC / name).read_text(), filename=name)
-        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)
+                      or (isinstance(node, ast.Raise) and node.exc is not None
+                          and _raises_assertion_error(node))]
     assert offenders == []

@@ -106,6 +106,20 @@ def test_path_and_loop_membership():
     assert er.contains(er.zero())
 
 
+def test_path_ring_membership_rejections():
+    r = RINGS["two_z8"]
+    er = PathRing(r, "x")
+    assert er.contains(er.sample(random.Random(4)))
+    xa = monomial(r, (1,), (("x", 1),))
+    assert not er.contains(er.add(xa, er.const((1,))))   # constant term
+    assert not er.contains(Poly(((((("x", 1),), (5,)),))))  # 5 not in Z/4
+    assert not er.contains((1,))
+    # over E(E(R; x); y) each y-slice must lie in E(R; x)
+    eer = PathRing(er, "y")
+    assert eer.contains(monomial(r, (1,), (("x", 1), ("y", 1))))
+    assert not eer.contains(monomial(r, (1,), (("y", 1),)))
+
+
 def test_loop_factorization_roundtrip():
     rng = random.Random(3)
     for r in RINGS.values():

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from hotring import (BadUnit, BudgetExceeded, HotringError, IllDefined,
-                     NotAssociative, RingHom, TruncatedPuppe,
+                     MalformedInput, NotAssociative, RingHom, TruncatedPuppe,
                      VerificationFailure, additive_closure, canonicalize,
-                     corpus, enumerate_homs, identity_hom, ideal_closure,
+                     compose, corpus, enumerate_homs, identity_hom, ideal_closure,
                      is_surjective, kernel_subring, product_ring, pullback,
                      quotient, tower_homs, unitalization, validate_ring,
                      zero_hom, zero_ring)
@@ -136,6 +136,25 @@ def test_validate_rejects_with_typed_error():
         RingHom(tgt, RINGS["z4_unital"], [(1,)]).validate()
     with pytest.raises(VerificationFailure, match="2 generator images"):
         RingHom(src, tgt, [(0,), (0,)]).validate()
+
+
+def test_values_that_are_not_integers_are_malformed():
+    with pytest.raises(MalformedInput, match="orders must be integers"):
+        validate_ring((True,), (((0,),),))
+    with pytest.raises(MalformedInput, match="entries must be integers"):
+        validate_ring((2,), (((1.0,),),))
+    with pytest.raises(MalformedInput, match="unit must be integers"):
+        validate_ring((2,), (((1,),),), unit=("1",))
+    with pytest.raises(MalformedInput, match="unit must have length k"):
+        validate_ring((2, 2), (((1, 0), (0, 0)), ((0, 0), (0, 0))),
+                      unit=(1,))
+
+
+def test_compose_rejects_homs_that_do_not_meet():
+    f = identity_hom(RINGS["sq0_z2"])
+    g = identity_hom(RINGS["tower2"])
+    with pytest.raises(HotringError, match="cannot compose"):
+        compose(g, f)
 
 
 def test_unital_hom_need_not_preserve_unit():

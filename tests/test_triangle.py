@@ -281,6 +281,11 @@ def test_octahedron_requires_surjections():
         octahedron(zero_hom(RINGS["sq0_z2"], RINGS["tower2"]), K_TOWER)
 
 
+def test_octahedron_requires_composable_maps():
+    with pytest.raises(HotringError, match="k must start where h ends"):
+        octahedron(H_TOWER, H_TOWER)
+
+
 # ---------------------------------------------------------------------------
 # K_0 presentations
 
