@@ -16,8 +16,8 @@ from .poly import (PolyLike, PolyRing, coefficient_map, constant_of,
                    evaluate, imul, ivar, one_minus, slices, substitute,
                    substitution_hom)
 from .rings import (FuncHom, RingHom, _UnionFind, _all_pairs,
-                    _first_nonmultiplicative, _multiplicative_images, compose,
-                    identity_hom, zero_hom)
+                    _coefficient_checks, _first_nonmultiplicative,
+                    _multiplicative_images, compose, identity_hom, zero_hom)
 from .virtual import PairRing
 
 
@@ -149,26 +149,41 @@ class HomotopyCertificate:
 def verify_certificate(cert, probes=50, rng=None):
     """Check the certificate: h is a homomorphism into R[var] and its
     endpoints are f0 and f1.  Exact on generators for a finite source,
-    probe-based otherwise."""
+    probe-based otherwise.
+
+    Exact mode reads the var-slices of each generator image once.  The
+    slices give membership (every slice in R), the order check (each slice
+    killed by the generator order), endpoint 0 (slice 0) and endpoint 1
+    (the sum of the slices).  An endpoint stored as a RingHom is compared
+    through its stored image reduced in its target, which is what
+    ``apply`` would return on the generator.  Multiplicativity is checked
+    last, on every generator pair in R[var], independently of the
+    coefficient checks the search runs.  The failure reported is the first
+    one in the order membership, order, endpoint0, endpoint1 (generator
+    by generator), then multiplicative.
+    """
     ring = cert.target
     carrier = cert.carrier or carrier_ring(ring, cert.var)
     h = cert.hom
 
     if isinstance(h, RingHom):
         src = h.source
+        zero = ring.zero()
         checked = 0
         for i, img in enumerate(h.images):
             checked += 1
-            if not slicewise_member(ring, img, cert.var):
+            sl = element_slices(ring, img, cert.var)
+            if sl is None or not all(ring.contains(x) for x in sl.values()):
                 return CertificateReport(False, "exact", checked,
                                          ("membership", i))
-            if not carrier.is_zero(carrier.scalar(src.orders[i], img)):
+            d = src.orders[i]
+            if not all(ring.is_zero(ring.scalar(d, x)) for x in sl.values()):
                 return CertificateReport(False, "exact", checked,
                                          ("order", i))
-            if eval_endpoint(ring, img, cert.var, 0) != cert.f0.apply(src.gen(i)):
+            if not _is_image(sl.get(0, zero), cert.f0, src, i):
                 return CertificateReport(False, "exact", checked,
                                          ("endpoint0", i))
-            if eval_endpoint(ring, img, cert.var, 1) != cert.f1.apply(src.gen(i)):
+            if not _is_image(ring.sum(sl.values()), cert.f1, src, i):
                 return CertificateReport(False, "exact", checked,
                                          ("endpoint1", i))
         bad = _first_nonmultiplicative(src, carrier, h.images,
@@ -205,6 +220,16 @@ def verify_certificate(cert, probes=50, rng=None):
             return CertificateReport(False, "probes", checked,
                                      ("endpoint1", a))
     return CertificateReport(True, "probes", checked)
+
+
+def _is_image(x, f, src, i):
+    """Is x, an element of f's target, f of generator i of src?  A RingHom
+    is read through its stored image, reduced in its target as ``apply``
+    reduces it; an image already equal to x needs no reduction."""
+    if isinstance(f, RingHom) and i < len(f.images):
+        img = f.images[i]
+        return x == img or x == f.target.scalar(1, img)
+    return x == f.apply(src.gen(i))
 
 
 def flip_certificate(cert):
@@ -319,7 +344,30 @@ def _annihilator(ring, order):
                   if ring.is_zero(ring.scalar(order, x)))
 
 
-def search_elementary(f0, f1, degree, budget=200_000, var="x"):
+class _SearchPlan:
+    """What the searches between homs source -> target share: the
+    coefficient-check tables of rings._multiplicative_images, by degree,
+    and the annihilator of each generator order, each built on first use.
+    homotopy_classes builds one per call and drops it when it returns."""
+
+    def __init__(self, source, target):
+        self.source = source
+        self.target = target
+        self.checks = {}
+        self.annihilators = {}
+
+    def checks_at(self, degree):
+        if degree not in self.checks:
+            self.checks[degree] = _coefficient_checks(self.source, degree)
+        return self.checks[degree]
+
+    def annihilator(self, order):
+        if order not in self.annihilators:
+            self.annihilators[order] = _annihilator(self.target, order)
+        return self.annihilators[order]
+
+
+def search_elementary(f0, f1, degree, budget=200_000, var="x", plan=None):
     """Search for a certificate f0 ~ f1 with images of degree <= degree.
 
     The image of generator i is searched as its coefficient slots
@@ -332,12 +380,20 @@ def search_elementary(f0, f1, degree, budget=200_000, var="x"):
     completion (see rings._multiplicative_images); only the hit becomes
     polynomials.  ``searched`` counts whole options, one per choice of all
     middle coefficients of a generator, pruned ones included, so it is
-    the count of trying every option in turn.  Returns a verified
-    certificate or a NotFoundAtBound verdict.
+    the count of trying every option in turn.  ``plan`` is the
+    _SearchPlan of a homotopy_classes call, which shares its check tables
+    and annihilators across that call's searches; without one the search
+    builds its own.  The hit is re-verified by verify_certificate, which
+    does not use those tables.  Returns a verified certificate or a
+    NotFoundAtBound verdict.
     """
     src, ring = f0.source, f0.target
     if f1.source is not src or f1.target is not ring:
         raise HotringError("f0 and f1 must share source and target")
+    if plan is None:
+        plan = _SearchPlan(src, ring)
+    elif plan.source is not src or plan.target is not ring:
+        raise HotringError("the search plan is for another source or target")
     carrier = carrier_ring(ring, var)
 
     if degree == 0:
@@ -345,17 +401,14 @@ def search_elementary(f0, f1, degree, budget=200_000, var="x"):
                  for lo, hi in zip(f0.images, f1.images)]
         sums = None
     else:
-        anns = {}
-        for d in src.orders:
-            if d not in anns:
-                anns[d] = _annihilator(ring, d)
-        slots = [[[lo]] + [anns[d]] * (degree - 1)
+        slots = [[[lo]] + [plan.annihilator(d)] * (degree - 1)
                  for lo, d in zip(f0.images, src.orders)]
         sums = f1.images
 
     searched = [0]
     found = next(_multiplicative_images(src, ring, slots, budget, sums=sums,
-                                        tried=searched),
+                                        tried=searched,
+                                        checks=plan.checks_at(degree)),
                  None)
     if found is None:
         return NotFoundAtBound(degree, searched[0])
@@ -376,11 +429,13 @@ def search_elementary(f0, f1, degree, budget=200_000, var="x"):
     return cert
 
 
-def search_up_to(f0, f1, degree, budget=200_000, var="x"):
-    """Try degrees 0..degree in order; first hit wins (deterministic)."""
+def search_up_to(f0, f1, degree, budget=200_000, var="x", plan=None):
+    """Try degrees 0..degree in order; first hit wins (deterministic).
+    ``plan`` is passed on to search_elementary."""
     searched = 0
     for d in range(degree + 1):
-        outcome = search_elementary(f0, f1, d, budget=budget, var=var)
+        outcome = search_elementary(f0, f1, d, budget=budget, var=var,
+                                    plan=plan)
         if isinstance(outcome, HomotopyCertificate):
             return outcome
         searched += outcome.searched
@@ -440,10 +495,14 @@ def homotopy_classes(homs, degree, budget=200_000, var="x"):
     """Union-find closure over elementary homotopies of degree <= degree.
 
     Every merge carries a verified certificate; the partition refines the
-    true homotopy relation (only genuine identifications are made)."""
+    true homotopy relation (only genuine identifications are made).  The
+    searches of one call share one _SearchPlan (check tables by degree,
+    annihilators by generator order); it lives only as long as the call,
+    so repeating a call repeats its work."""
     homs = sorted(homs, key=lambda h: h.images)
     uf = _UnionFind(len(homs))
     edges = {}
+    plan = _SearchPlan(homs[0].source, homs[0].target) if homs else None
 
     remaining = len(homs)
     for i in range(len(homs)):
@@ -453,7 +512,7 @@ def homotopy_classes(homs, degree, budget=200_000, var="x"):
             if uf.find(i) == uf.find(j):
                 continue
             outcome = search_up_to(homs[i], homs[j], degree, budget=budget,
-                                   var=var)
+                                   var=var, plan=plan)
             if isinstance(outcome, HomotopyCertificate):
                 edges[(i, j)] = outcome
                 uf.union(i, j)

@@ -254,23 +254,22 @@ def validate_ring(orders, table, unit=None, label="R"):
                 if any((d * c) % dl != 0 for c, dl in zip(v, orders)):
                     raise IllDefined(i, j)
 
-    # associativity on generator triples suffices by bilinearity
+    # associativity on generator triples suffices by bilinearity:
+    # (g_i g_j) g_l = g_i (g_j g_l), both products read off the table
+    gens = [ring.gen(i) for i in range(k)]
     for i in range(k):
-        gi = ring.gen(i)
+        gi, row = gens[i], ring.table[i]
         for j in range(k):
-            gj = ring.gen(j)
-            left_ij = ring.table[i][j]
+            left_ij, right_j = row[j], ring.table[j]
             for l in range(k):
-                gl = ring.gen(l)
-                left = ring.mul(left_ij, gl)
-                right = ring.mul(gi, ring.mul(gj, gl))
+                left = ring.mul(left_ij, gens[l])
+                right = ring.mul(gi, right_j[l])
                 if left != right:
                     raise NotAssociative(i, j, l, left, right)
 
     if unit is not None:
         e = ring.element(unit)
-        for i in range(k):
-            g = ring.gen(i)
+        for i, g in enumerate(gens):
             if ring.mul(e, g) != g or ring.mul(g, e) != g:
                 raise BadUnit(f"claimed unit {e} fails on generator {i}")
         ring.unit = e
@@ -397,8 +396,36 @@ def _first_nonmultiplicative(source, target, images, pairs):
     return None
 
 
+def _coefficient_checks(source, top):
+    """The coefficient checks of _multiplicative_images for images whose
+    top coefficient is c_{i,top}, scheduled by the slot that decides them.
+
+    checks[m][s] lists the checks decided once coefficient s of generator
+    m is assigned, as (i, j, e, terms of g_i g_j, (a, b) pairs).  The table
+    depends on the source ring and top only, so a caller running many
+    searches over one source may build it once and pass it in."""
+    # the (a, b) with a + b = e, both at most top
+    convolutions = [tuple((a, e - a) for a in range(max(0, e - top),
+                                                    min(e, top) + 1))
+                    for e in range(2 * top + 1)]
+    checks = [[[] for _ in range(top + 1)] for _ in range(source.ngens)]
+    for i, j in _all_pairs(source):
+        terms = [(l, c) for l, c in enumerate(source.table[i][j]) if c]
+        m = max([i, j] + [l for l, _ in terms])
+        for e, pairs in enumerate(convolutions):
+            # coefficient e reads c_{l,e} for l in the support (e <= top
+            # only) and c_{i,a}, c_{j,b} for a + b = e; m is in the support
+            # when it is neither i nor j
+            if e <= top:
+                checks[m][e].append((i, j, e, terms, pairs))
+            else:
+                checks[m][top if m in (i, j) else 0].append(
+                    (i, j, e, (), pairs))
+    return checks
+
+
 def _multiplicative_images(source, target, slots, budget, sums=None,
-                           tried=None):
+                           tried=None, checks=None):
     """Depth-first search over generator images in target[x], the image of
     generator i a coefficient tuple (c_{i,0}, ..., c_{i,D}); D = 0 for the
     images of plain homomorphisms.
@@ -421,7 +448,8 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
     its whole subtree.  tried[0] counts options: a pruned prefix adds the
     number of options it stands for, so the count is the one of trying
     every option in turn.  Raises BudgetExceeded before searching when
-    the product of the option counts exceeds budget.
+    the product of the option counts exceeds budget.  checks, when given,
+    is the table _coefficient_checks(source, top) built by the caller.
     """
     k = source.ngens
     total = 1
@@ -437,25 +465,8 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
 
     free = len(slots[0]) if k else 0      # the same for every generator
     top = free if sums is not None else free - 1
-    # the (a, b) with a + b = e, both at most top
-    convolutions = [tuple((a, e - a) for a in range(max(0, e - top),
-                                                    min(e, top) + 1))
-                    for e in range(2 * top + 1)]
-    # checks[m][s]: the coefficient checks decided once coefficient s of
-    # generator m is assigned, as (i, j, e, terms of g_i g_j, (a, b) pairs)
-    checks = [[[] for _ in range(top + 1)] for _ in range(k)]
-    for i, j in _all_pairs(source):
-        terms = [(l, c) for l, c in enumerate(source.table[i][j]) if c]
-        m = max([i, j] + [l for l, _ in terms])
-        for e, pairs in enumerate(convolutions):
-            # coefficient e reads c_{l,e} for l in the support (e <= top
-            # only) and c_{i,a}, c_{j,b} for a + b = e; m is in the support
-            # when it is neither i nor j
-            if e <= top:
-                checks[m][e].append((i, j, e, terms, pairs))
-            else:
-                checks[m][top if m in (i, j) else 0].append(
-                    (i, j, e, (), pairs))
+    if checks is None:
+        checks = _coefficient_checks(source, top)
 
     zero, add, mul, scalar = target.zero(), target.add, target.mul, target.scalar
     coeffs = [[None] * (top + 1) for _ in range(k)]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import HotringError, MalformedInput
-from .homotopy import HomotopyCertificate, carrier_ring
+from .errors import HotringError, MalformedInput, VerificationFailure
+from .homotopy import HomotopyCertificate, carrier_ring, verify_certificate
 from .poly import Poly
 from .rings import RingHom, validate_ring
 from .triangle import K0Diagram
@@ -67,11 +67,20 @@ def hom_to_json(hom):
     }
 
 
+def _integers(value, what):
+    """value, or MalformedInput unless it is a list of JSON integers (no
+    bool, no float: the integer test of validate_ring)."""
+    if not (isinstance(value, list) and all(type(c) is int for c in value)):
+        raise MalformedInput(f"{what} must be a list of integers")
+    return value
+
+
 def hom_from_json(data, registry):
     src = _registered(registry, _field(data, "source", "hom"))
     tgt = _registered(registry, _field(data, "target", "hom"))
     images = _list_of(_field(data, "images", "hom"), list, "hom 'images'")
-    hom = RingHom(src, tgt, [tuple(img) for img in images],
+    hom = RingHom(src, tgt,
+                  [tuple(_integers(img, "hom image")) for img in images],
                   label=data.get("label", ""))
     hom.validate()
     return hom
@@ -84,9 +93,15 @@ def poly_to_json(p):
 
 def poly_from_json(data):
     terms = []
-    for t in data:
-        mono = tuple(sorted((v, int(e)) for v, e in t["mono"].items()))
-        terms.append((mono, tuple(t["coeff"])))
+    for t in _list_of(data, dict, "polynomial"):
+        mono = _field(t, "mono", "polynomial term")
+        if not (isinstance(mono, dict)
+                and all(type(e) is int and e > 0 for e in mono.values())):
+            raise MalformedInput("polynomial 'mono' must map variables to "
+                                 "positive integers")
+        coeff = _integers(_field(t, "coeff", "polynomial term"),
+                          "polynomial 'coeff'")
+        terms.append((tuple(sorted(mono.items())), tuple(coeff)))
     return Poly(sorted(terms))
 
 
@@ -104,14 +119,37 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(data, registry):
-    src = registry[data["source"]]
-    tgt = registry[data["target"]]
-    carrier = carrier_ring(tgt, data["var"])
-    hom = RingHom(src, carrier, [poly_from_json(p) for p in data["images"]],
-                  label="h")
-    f0 = RingHom(src, tgt, [tuple(v) for v in data["f0"]], label="f0")
-    f1 = RingHom(src, tgt, [tuple(v) for v in data["f1"]], label="f1")
-    return HomotopyCertificate(hom, f0, f1, data["var"])
+    """Load a certificate and re-verify it exactly.
+
+    Raises MalformedInput when a field is missing, a ring label is unknown
+    or a value has the wrong type; f0 and f1 load as homs do (see
+    hom_from_json).  Raises VerificationFailure when an endpoint is not a
+    homomorphism, the image count is not the number of source generators,
+    or verify_certificate rejects the certificate (its failure is the
+    witness)."""
+    src = _registered(registry, _field(data, "source", "certificate"))
+    tgt = _registered(registry, _field(data, "target", "certificate"))
+    var = _field(data, "var", "certificate")
+    if not isinstance(var, str):
+        raise MalformedInput("certificate 'var' must be a string")
+    images = [poly_from_json(p) for p in
+              _list_of(_field(data, "images", "certificate"), list,
+                       "certificate 'images'")]
+    f0, f1 = (hom_from_json({"source": data["source"],
+                             "target": data["target"], "label": key,
+                             "images": _field(data, key, "certificate")},
+                            registry)
+              for key in ("f0", "f1"))
+    if len(images) != src.ngens:
+        raise VerificationFailure(f"{len(images)} generator images for "
+                                  f"{src.ngens} generators")
+    cert = HomotopyCertificate(
+        RingHom(src, carrier_ring(tgt, var), images, label="h"), f0, f1, var)
+    report = verify_certificate(cert)
+    if not report.valid:
+        raise VerificationFailure(f"certificate does not verify: {report}",
+                                  witness=report.failure)
+    return cert
 
 
 def k0_diagram_from_json(data):

@@ -131,6 +131,37 @@ def search_elementary_oracle(f0, f1, degree, budget=200_000, var="x"):
     return ("hit", tuple(found))
 
 
+def verify_certificate_exact_reference(cert):
+    """(valid, mode, checked, failure) of the exact check as it ran before
+    the single slice pass: per generator image, slicewise membership, the
+    order check through the carrier, then both endpoints by substitution
+    against f.apply on the generator; multiplicativity over R[var] last."""
+    from hotring.homotopy import (carrier_ring, eval_endpoint,
+                                  slicewise_member)
+    from hotring.rings import _all_pairs, _first_nonmultiplicative
+
+    ring = cert.target
+    carrier = cert.carrier or carrier_ring(ring, cert.var)
+    h = cert.hom
+    src = h.source
+    checked = 0
+    for i, img in enumerate(h.images):
+        checked += 1
+        if not slicewise_member(ring, img, cert.var):
+            return (False, "exact", checked, ("membership", i))
+        if not carrier.is_zero(carrier.scalar(src.orders[i], img)):
+            return (False, "exact", checked, ("order", i))
+        if eval_endpoint(ring, img, cert.var, 0) != cert.f0.apply(src.gen(i)):
+            return (False, "exact", checked, ("endpoint0", i))
+        if eval_endpoint(ring, img, cert.var, 1) != cert.f1.apply(src.gen(i)):
+            return (False, "exact", checked, ("endpoint1", i))
+    bad = _first_nonmultiplicative(src, carrier, h.images, _all_pairs(src))
+    if bad is not None:
+        checked += bad[0] * src.ngens + bad[1] + 1
+        return (False, "exact", checked, ("multiplicative", bad))
+    return (True, "exact", checked + src.ngens ** 2, None)
+
+
 # ---------------------------------------------------------------------------
 # quasi-invertibility over a finite ring by the strategy cascade that came
 # before the circle-power walk

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -270,6 +271,9 @@ def test_k0_unknown_object_exit_one_under_optimize(workdir):
      "generator orders must be integers"),
     ("check-ring", None, {"orders": [2], "mul": [[[1.9]]]},
      "structure constant entries must be integers"),
+    ("factorize", "--hom",
+     {"source": "sq0_z2", "target": "sq0_z2", "images": [[True]]},
+     "hom image must be a list of integers"),
 ])
 def test_malformed_json_is_an_error_record(workdir, capsys, command, flag,
                                            data, needle):
@@ -306,6 +310,63 @@ def test_round_trips():
     assert certificate_to_json(back) == data
     p = cert.hom.images[0]
     assert poly_from_json(poly_to_json(p)) == p
+
+
+def _sq0_certificate_json():
+    from hotring import identity_hom, search_elementary, zero_hom
+    r = RINGS["sq0_z2"]
+    return certificate_to_json(search_elementary(identity_hom(r),
+                                                 zero_hom(r, r), 1))
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: d.pop("var"), "certificate is missing 'var'"),
+    (lambda d: d.pop("f1"), "certificate is missing 'f1'"),
+    (lambda d: d.update(source="nowhere"), "unknown ring label: nowhere"),
+    (lambda d: d["images"][0][1].pop("coeff"),
+     "polynomial term is missing 'coeff'"),
+    (lambda d: d["images"][0][1].update(coeff=[True]),
+     "polynomial 'coeff' must be a list of integers"),
+    (lambda d: d["images"][0][1].update(mono={"x": 0}),
+     "polynomial 'mono' must map variables to positive integers"),
+    (lambda d: d.update(f0=[[1.0]]), "hom image must be a list of integers"),
+    (lambda d: d.update(var=1), "certificate 'var' must be a string"),
+], ids=["var", "f1", "label", "coeff", "bool-coeff", "exponent", "float-f0",
+        "var-type"])
+def test_malformed_certificate_is_rejected_on_load(edit, needle):
+    from hotring import MalformedInput
+    data = _sq0_certificate_json()
+    edit(data)
+    with pytest.raises(MalformedInput, match=re.escape(needle)):
+        certificate_from_json(data, RINGS)
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda d: d.update(f1=[[1]]), ("endpoint1", 0)),
+    (lambda d: d["images"][0].pop(0), ("endpoint0", 0)),
+    (lambda d: d["images"][0].append({"mono": {"y": 1}, "coeff": [1]}),
+     ("membership", 0)),
+], ids=["endpoint1", "endpoint0", "membership"])
+def test_invalid_certificate_fails_verification_on_load(edit, witness):
+    from hotring import VerificationFailure
+    data = _sq0_certificate_json()
+    edit(data)
+    with pytest.raises(VerificationFailure) as exc:
+        certificate_from_json(data, RINGS)
+    assert exc.value.witness == witness
+
+
+def test_certificate_endpoints_load_as_homs():
+    from hotring import VerificationFailure
+    data = _sq0_certificate_json()
+    data["target"] = "z2_unital"    # g -> 1 sends g^2 = 0 to 1^2 = 1
+    with pytest.raises(VerificationFailure, match="multiplicativity"):
+        certificate_from_json(data, RINGS)
+    data = _sq0_certificate_json()
+    data["images"].append(data["images"][0])
+    with pytest.raises(VerificationFailure,
+                       match="2 generator images for 1 generators"):
+        certificate_from_json(data, RINGS)
 
 
 def test_certificate_with_an_infinite_source_does_not_serialize():

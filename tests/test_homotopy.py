@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from hotring import (BudgetExceeded, HomotopyCertificate, HotringError,
-                     NotFoundAtBound, PathRing, RingHom, corpus, enumerate_homs,
-                     flip_certificate, graded_certificate, homotopy_classes,
+from hotring import (BudgetExceeded, FuncHom, HomotopyCertificate,
+                     HotringError, NotFoundAtBound, PathRing, RingHom, corpus,
+                     enumerate_homs, flip_certificate, graded_certificate,
+                     homotopy_classes,
                      identity_hom, path_contraction_certificate,
                      postcompose_certificate, precompose_certificate,
                      search_elementary, search_homotopy_equivalence,
@@ -14,7 +15,8 @@ from hotring import (BudgetExceeded, HomotopyCertificate, HotringError,
                      GRADING)
 from hotring.homotopy import carrier_ring, constant_certificate
 
-from oracles import enumerate_homs_oracle, search_elementary_oracle
+from oracles import (enumerate_homs_oracle, search_elementary_oracle,
+                     verify_certificate_exact_reference)
 
 RINGS = corpus()
 
@@ -290,3 +292,185 @@ def test_search_needs_maps_with_one_source_and_target():
     r, s = RINGS["sq0_z2"], RINGS["z2_unital"]
     with pytest.raises(HotringError, match="share source and target"):
         search_elementary(identity_hom(r), zero_hom(r, s), 1)
+    from hotring.homotopy import _SearchPlan
+    with pytest.raises(HotringError, match="plan is for another"):
+        search_up_to(identity_hom(r), zero_hom(r, r), 1,
+                     plan=_SearchPlan(r, s))
+
+
+# ---------------------------------------------------------------------------
+# the exact check against the three-walk reference it replaced
+
+
+def _report(cert):
+    rep = verify_certificate(cert)
+    return (rep.valid, rep.mode, rep.checked, rep.failure)
+
+
+def test_exact_check_matches_reference_on_merge_certificates():
+    merges = 0
+    for (a, b), homs in CORPUS_HOMS.items():
+        if len(homs) < 2:
+            continue
+        for d in (1, 2):
+            for cert in homotopy_classes(homs, d).edges.values():
+                assert _report(cert) == \
+                    verify_certificate_exact_reference(cert), (a, b, d)
+                merges += 1
+    assert merges > 100
+
+
+def _with_image(cert, i, img):
+    images = list(cert.hom.images)
+    images[i] = img
+    return HomotopyCertificate(RingHom(cert.hom.source, cert.hom.target,
+                                       images), cert.f0, cert.f1, cert.var)
+
+
+def _graded():
+    r = RINGS["graded_dual"]
+    return r, graded_certificate(r, GRADING["graded_dual"])
+
+
+def _foreign_variable():
+    r, cert = _graded()
+    carrier = carrier_ring(r, cert.var)
+    return _with_image(cert, 1, carrier.monomial(r.gen(1), (("z", 1),)))
+
+
+def _order_not_respected():
+    # 2 * 1 = 2 in Z/4, but the source generator has order 2
+    s, r = RINGS["sq0_z2"], RINGS["two_z8"]
+    carrier = carrier_ring(r, "x")
+    f = RingHom(s, r, [(1,)])
+    return HomotopyCertificate(RingHom(s, carrier, [carrier.const((1,))]),
+                               f, f, "x")
+
+
+def _shifted_constant():
+    r, cert = _graded()
+    carrier = carrier_ring(r, cert.var)
+    return _with_image(cert, 1, carrier.add(cert.hom.images[1],
+                                            carrier.const(r.gen(0))))
+
+
+def _wrong_start():
+    _, cert = _graded()
+    return HomotopyCertificate(cert.hom, cert.f1, cert.f1, cert.var)
+
+
+def _wrong_end():
+    _, cert = _graded()
+    return HomotopyCertificate(cert.hom, cert.f0, cert.f0, cert.var)
+
+
+def _not_multiplicative():
+    # 1 + x has the endpoints of id and 0 on Z/2, but squares to 1 + x^2
+    r = RINGS["z2_unital"]
+    carrier = carrier_ring(r, "x")
+    img = carrier.add(carrier.const((1,)), carrier.monomial((1,), (("x", 1),)))
+    return HomotopyCertificate(RingHom(r, carrier, [img]), identity_hom(r),
+                               zero_hom(r, r), "x")
+
+
+def _unreduced_endpoints():
+    # apply reduces (3,) and (2,) in Z/2, so these endpoints are id and 0
+    r = RINGS["sq0_z2"]
+    cert = search_elementary(identity_hom(r), zero_hom(r, r), 1)
+    return HomotopyCertificate(cert.hom, RingHom(r, r, [(3,)]),
+                               RingHom(r, r, [(2,)]), cert.var)
+
+
+def _function_endpoints(shift=False):
+    r = RINGS["tower3"]
+    cert = search_elementary(identity_hom(r), zero_hom(r, r), 1)
+    f0 = FuncHom(r, r, cert.f0.apply)
+    f1 = FuncHom(r, r, (lambda x: r.add(x, r.gen(2))) if shift
+                 else cert.f1.apply)
+    return HomotopyCertificate(cert.hom, f0, f1, cert.var)
+
+
+@pytest.mark.parametrize("build, failure", [
+    (_foreign_variable, ("membership", 1)),
+    (_order_not_respected, ("order", 0)),
+    (_shifted_constant, ("endpoint0", 1)),
+    (_wrong_start, ("endpoint0", 1)),
+    (_wrong_end, ("endpoint1", 1)),
+    (_not_multiplicative, ("multiplicative", (0, 0))),
+    (_unreduced_endpoints, None),
+    (_function_endpoints, None),
+    (lambda: _function_endpoints(shift=True), ("endpoint1", 0)),
+], ids=["membership", "order", "endpoint0-constant", "endpoint0",
+        "endpoint1", "multiplicative", "unreduced-endpoints",
+        "function-endpoints", "function-endpoint1"])
+def test_exact_check_matches_reference_on_edge_cases(build, failure):
+    cert = build()
+    got = _report(cert)
+    assert got == verify_certificate_exact_reference(cert)
+    assert got[0] == (failure is None)
+    assert got[3] == failure
+
+
+def test_dropped_coefficient_checks_trip_the_post_check(monkeypatch):
+    """The certificate a search returns is re-verified over R[x] without
+    the search's coefficient checks, so a search that skips some of them
+    fails loudly instead of returning an invalid certificate.  On Z/2 the
+    only option for id ~ 0 at degree 1 is g -> 1 + x, which fails the
+    checks of coefficients 1 and 2, both decided at the top slot; with
+    that slot's checks dropped the search accepts it."""
+    from hotring import VerificationFailure, homotopy
+    from hotring.rings import _coefficient_checks
+
+    f0, f1 = _id_zero("z2_unital")
+    assert isinstance(search_elementary(f0, f1, 1), NotFoundAtBound)
+
+    def without_top_slot(source, top):
+        checks = _coefficient_checks(source, top)
+        checks[0][top] = []
+        return checks
+
+    monkeypatch.setattr(homotopy, "_coefficient_checks", without_top_slot)
+    with pytest.raises(VerificationFailure) as exc:
+        search_elementary(f0, f1, 1)
+    assert exc.value.witness == ("multiplicative", (0, 0))
+
+
+# ---------------------------------------------------------------------------
+# probe mode: each failure branch on a path ring source
+
+
+def _path_certificate(kind):
+    r = RINGS["z3_unital"]
+    paths = PathRing(r, "x")
+    cert = path_contraction_certificate(paths, "y")
+    carrier = carrier_ring(paths, "y")
+    h = cert.hom.apply
+    if kind == "membership":       # a constant term leaves E(R)[y]
+        hom = FuncHom(paths, carrier,
+                      lambda p: carrier.add(h(p), carrier.const(r.gen(0))))
+    elif kind == "additive":       # p -> p(xy)^2 is not additive over Z/3
+        hom = FuncHom(paths, carrier, lambda p: carrier.mul(h(p), h(p)))
+    elif kind == "multiplicative":  # p -> 2 p(xy) is additive only
+        hom = FuncHom(paths, carrier, lambda p: carrier.scalar(2, h(p)))
+    else:
+        hom = cert.hom
+    f0, f1 = cert.f0, cert.f1
+    if kind == "endpoint0":
+        f0 = f1
+    elif kind == "endpoint1":
+        f1 = f0
+    return HomotopyCertificate(hom, f0, f1, "y")
+
+
+def test_probe_mode_contraction_is_valid():
+    rep = verify_certificate(_path_certificate(None), probes=20)
+    assert (rep.valid, rep.mode, rep.checked) == (True, "probes", 20)
+
+
+@pytest.mark.parametrize("kind", ["membership", "additive", "multiplicative",
+                                  "endpoint0", "endpoint1"])
+def test_probe_mode_reports_each_failure(kind):
+    rep = verify_certificate(_path_certificate(kind), probes=20)
+    assert not rep.valid
+    assert rep.mode == "probes"
+    assert rep.failure[0] == kind
