@@ -381,10 +381,9 @@ def main(argv=None):
 
     try:
         registry = _load_registry(args)
-        key = content_hash({"command": args.command,
-                            "inputs": _input_hashes(args),
-                            "params": _params(args),
-                            "version": TOOL_VERSION})
+        inputs, params = _input_hashes(args), _params(args)
+        key = content_hash({"command": args.command, "inputs": inputs,
+                            "params": params, "version": TOOL_VERSION})
         if store is not None:
             cached = store.load(key)
             if cached is not None:
@@ -393,8 +392,8 @@ def main(argv=None):
         code, payload = COMMANDS[args.command](args, registry)
         record = {
             "command": args.command,
-            "inputs": _input_hashes(args),
-            "params": _params(args),
+            "inputs": inputs,
+            "params": params,
             "payload": payload,
             "exit_code": code,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

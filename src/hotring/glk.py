@@ -11,16 +11,17 @@ pi_0 of GL(A[Delta]) is approximated from the 1-skeleton: matrices over
 A[t] with P(0) = 0 contribute their value P(1) to the identified
 subgroup.  The 1-skeleton suffices for pi_0 because the components of a
 simplicial set are the coequalizer of the two face maps out of level 1;
-higher simplices only witness relations between relations.  Skipping a
-candidate whose quasi-invertibility we cannot settle only
-under-identifies, so the computed quotient always surjects onto the
-true pi_0 at its size level and is monotone in the degree bound.
+higher simplices only witness relations between relations.  Only paths
+of degree at most d are tried, so the computed quotient always surjects
+onto the true pi_0 at its size level and is monotone in the degree bound.
 
-Over a finite ring, quasi-invertibility is decided completely by the
-circle powers of M (see _circle_powers), and gl_group walks those powers
-so that each matrix is decided once.  Over A[t] the circle monoid is
-infinite, and a strategy cascade semi-decides: its unknown answers are
-the skipped candidates above.
+Quasi-invertibility is decided completely and with no budget.  Over a
+finite ring the circle powers of M decide (see _circle_powers), and
+gl_group walks those powers so that each matrix is decided once.  Over
+A[t], whose circle monoid is infinite, adjugate and determinant decide
+when A is commutative with a unit, and the t-adic recurrence of the
+quasi-inverse otherwise (see _t_adic_quasi_inverse); so no path
+candidate is ever skipped as undecided.
 
 Path candidates are filtered by their end P(1), the sum of their
 coefficient matrices, before any quasi-inverse is sought over A[t].
@@ -36,7 +37,7 @@ import itertools
 
 from .errors import BadUnit, BudgetExceeded, VerificationFailure
 from .intlin import invariant_factors
-from .poly import PolyLike, PolyRing, constant_of, evaluate
+from .poly import PolyLike, PolyRing
 from .rings import FiniteRing, _UnionFind
 
 
@@ -107,7 +108,7 @@ class QiResult:
 
 
 # ---------------------------------------------------------------------------
-# quasi-inverse strategy cascade
+# deciding quasi-invertibility
 
 
 def _scalar_base(ring):
@@ -164,40 +165,27 @@ def _unit_matrix_shift(ring, m):
                        for j, e in enumerate(row)) for i, row in enumerate(m))
 
 
-def _is_nilpotent_element(ring, x):
-    seen = set()
-    p = x
-    while p not in seen:
-        if ring.is_zero(p):
-            return True
-        seen.add(p)
-        p = ring.mul(p, x)
-    return False
-
-
 def _invert_in_unital(ring, u):
-    """Multiplicative inverse of u in the polynomial extension of a finite
-    commutative unital ring; None when u is not a unit.  Complete: a
-    polynomial is a unit exactly when its constant term is a unit and
-    every higher coefficient is nilpotent."""
-    base = _scalar_base(ring)
-    var = ring.vars[-1]
-    u0_poly = evaluate(base, u, var, 0)
-    u0 = constant_of(base, u0_poly)
-    inv0 = None
-    for v in base.elements():
-        if base.mul(u0, v) == base.unit and base.mul(v, u0) == base.unit:
-            inv0 = v
-            break
+    """Multiplicative inverse of u in A[t], A finite, commutative and
+    unital; None when u is not a unit.  Complete: a polynomial is a unit
+    exactly when its constant term is a unit and every higher coefficient
+    is nilpotent."""
+    base = ring.scalar_base
+    u0 = next((c for mono, c in u.terms if not mono), base.zero())
+    inv0 = next((v for v in base.elements() if base.mul(u0, v) == base.unit),
+                None)
     if inv0 is None:
         return None
     w = ring.sub(u, ring.const(u0))
     for _, c in w.terms:
-        if not _is_nilpotent_element(base, c):
-            return None
+        seen, p = set(), c
+        while not base.is_zero(p):
+            if p in seen:
+                return None
+            seen.add(p)
+            p = base.mul(p, c)
     inv0p = ring.const(inv0)
-    term = ring.const(base.unit)
-    acc = ring.zero()
+    term, acc = ring.const(base.unit), ring.zero()
     while term != ring.zero():
         acc = ring.add(acc, term)
         term = ring.neg(ring.mul(term, ring.mul(inv0p, w)))
@@ -223,16 +211,68 @@ def _circle_powers(ring, m):
     return list(powers), p == zero
 
 
-def quasi_inverse(ring, m, witness_degree=None, budget=200_000):
-    """Quasi-inverse of the square matrix m, with the strategy trace.
+def _t_adic_quasi_inverse(ring, m):
+    """The quasi-inverse of m = sum_{e<=D} m_e t^e over A[t], A a finite
+    ring and t the one variable of ring, or None when there is none.
 
-    Over a finite ring the circle powers of m decide completely, with no
-    budget.  Over A[t], whose circle monoid is infinite, a cascade runs:
-    (a) nilpotent coefficient ring: alternating geometric series;
-    (b) commutative unital coefficient ring: classical inversion of I + M
-        by adjugate and determinant (complete: not_qi answers are final);
-    (c) bounded enumeration of witnesses up to witness_degree;
-    otherwise unknown, with the strategy trace attached.
+    Read coefficient by coefficient, m o w = 0 says that w_0 is the
+    quasi-inverse of m_0 (evaluation at t = 0 is a ring hom) and, after
+    multiplying by I + w_0 on the left,
+        w_j = q_j + sum_{i=1}^{min(j,D)} q_i w_{j-i},  q_i = -(m_i + w_0 m_i),
+    with q_j = 0 for j > D.  So the power series w is unique, and it is
+    two-sided because I + m is invertible over A[[t]] once I + m_0 is.
+    Past j = D the state (w_j, ..., w_{j-D+1}) moves by an additive map T
+    of M_n(A)^D, and w is a polynomial exactly when some state is 0.  The
+    states that reach 0 form ker T <= ker T^2 <= ..., a chain of subgroups
+    whose order at least doubles at each strict step, so it is constant
+    from L = floor(log2 |A|^{n^2 D}) on: the state at j = D reaches 0
+    within L steps or never."""
+    base, var = ring.scalar_base, ring.vars[0]
+    n = len(m)
+    zero = mat_zero(base, n)
+    top = max((p.degree_in(var) for row in m for p in row), default=0)
+    coeffs = [[[base.zero()] * n for _ in range(n)] for _ in range(top + 1)]
+    for r, row in enumerate(m):
+        for c, p in enumerate(row):
+            for mono, x in p.terms:
+                coeffs[mono[0][1] if mono else 0][r][c] = x
+    coeffs = [tuple(map(tuple, a)) for a in coeffs]
+
+    powers, reached_zero = _circle_powers(base, coeffs[0])
+    if not reached_zero:
+        return None
+    w = [powers[-1] if powers else zero]
+    q = [mat_neg(base, a if w[0] == zero else
+                 mat_add(base, a, mat_mul(base, w[0], a))) for a in coeffs]
+    last = top + (base.size() ** (n * n * top)).bit_length() - 1
+    zeros = int(w[0] == zero)         # trailing zero coefficients of w
+    j = 0
+    while j < top or zeros < top:
+        if j == last:
+            return None
+        j += 1
+        acc = q[j] if j <= top else zero
+        for i in range(1, min(j, top) + 1):
+            if w[j - i] != zero:
+                acc = mat_add(base, acc, mat_mul(base, q[i], w[j - i]))
+        w.append(acc)
+        zeros = zeros + 1 if acc == zero else 0
+    witness = _poly_matrix(ring, var, w[:len(w) - zeros] or [zero])
+    if not is_circle_witness(ring, m, witness):
+        raise VerificationFailure("t-adic quasi-inverse fails",
+                                  witness=(m, witness))
+    return witness
+
+
+def quasi_inverse(ring, m):
+    """Quasi-inverse of the square matrix m, with how it was decided.
+
+    Over a finite ring the circle powers of m decide (see _circle_powers).
+    Over A[t], A a finite ring, I + M is inverted by adjugate and
+    determinant when A is commutative with a unit, and otherwise the
+    t-adic recurrence decides (see _t_adic_quasi_inverse); both are
+    complete.  Several variables or a coefficient ring that is not a
+    FiniteRing answer unknown.
     """
     if isinstance(ring, FiniteRing):
         powers, reached_zero = _circle_powers(ring, m)
@@ -242,66 +282,31 @@ def quasi_inverse(ring, m, witness_degree=None, budget=200_000):
         # m = 0 is its own inverse
         return QiResult("ok", powers[-1] if powers else m, trace)
 
+    if not (isinstance(ring, PolyLike) and len(ring.vars) == 1
+            and isinstance(ring.scalar_base, FiniteRing)):
+        return QiResult("unknown", None, ["no strategy applied"])
+
     trace = []
-    base = _scalar_base(ring)
-    n = len(m)
+    base = ring.scalar_base
+    if base.unit is not None and _is_commutative(base):
+        trace.append("unital-commutative")
+        shifted = _unit_matrix_shift(ring, m)
+        inv_det = _invert_in_unital(ring, _det(ring, shifted))
+        if inv_det is None:
+            return QiResult("not_qi", None, trace + ["determinant not a unit"])
+        inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
+                        for row in _adjugate(ring, shifted))
+        identity = _unit_matrix_shift(ring, mat_zero(ring, len(m)))
+        witness = mat_add(ring, inverse, mat_neg(ring, identity))
+        if is_circle_witness(ring, m, witness):
+            return QiResult("ok", witness, trace)
+        trace.append("classical inverse failed verification")
 
-    if isinstance(base, FiniteRing):
-        e = base.nilpotency_class()
-        if e is not None:
-            trace.append(f"nilpotent(class={e})")
-            power = m
-            acc = mat_zero(ring, n)
-            sign = -1
-            for _ in range(1, e):
-                acc = mat_add(ring, acc, power if sign == 1 else mat_neg(ring, power))
-                power = mat_mul(ring, power, m)
-                sign = -sign
-            if is_circle_witness(ring, m, acc):
-                return QiResult("ok", acc, trace)
-            trace.append("series failed verification")
-
-        if base.unit is not None and _is_commutative(base):
-            trace.append("unital-commutative")
-            shifted = _unit_matrix_shift(ring, m)
-            inv_det = _invert_in_unital(ring, _det(ring, shifted))
-            if inv_det is None:
-                return QiResult("not_qi", None, trace + ["determinant not a unit"])
-            inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
-                            for row in _adjugate(ring, shifted))
-            identity = _unit_matrix_shift(ring, mat_zero(ring, n))
-            witness = mat_add(ring, inverse, mat_neg(ring, identity))
-            if is_circle_witness(ring, m, witness):
-                return QiResult("ok", witness, trace)
-            trace.append("classical inverse failed verification")
-
-    # (c) bounded enumeration
-    if isinstance(ring, PolyRing) and isinstance(base, FiniteRing) \
-            and witness_degree is not None:
-        var = ring.vars[-1]
-        count = base.size() ** (n * n * (witness_degree + 1))
-        if count <= budget:
-            trace.append(f"enumeration(deg<={witness_degree})")
-            coeff_space = list(base.elements())
-            for cand in itertools.product(coeff_space,
-                                          repeat=n * n * (witness_degree + 1)):
-                w = []
-                for i in range(n):
-                    row = []
-                    for j in range(n):
-                        off = (i * n + j) * (witness_degree + 1)
-                        p = ring.zero()
-                        for e in range(witness_degree + 1):
-                            p = ring.add(p, ring.monomial(cand[off + e],
-                                                          ((var, e),)))
-                        row.append(p)
-                    w.append(tuple(row))
-                w = tuple(w)
-                if is_circle_witness(ring, m, w):
-                    return QiResult("ok", w, trace)
-            return QiResult("not_qi", None, trace)
-
-    return QiResult("unknown", None, trace + ["no strategy applied"])
+    trace.append("t-adic recurrence")
+    witness = _t_adic_quasi_inverse(ring, m)
+    if witness is None:
+        return QiResult("not_qi", None, trace)
+    return QiResult("ok", witness, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -456,30 +461,31 @@ class Pi0Presentation:
 
 
 def _poly_matrix(ring, var, coeff_mats):
+    """The matrix sum_e coeff_mats[e] var^e over the polynomial ring."""
     n = len(coeff_mats[0])
+    zero = ring.scalar_base.zero()
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             p = ring.zero()
-            for e, mat in enumerate(coeff_mats, start=1):
-                c = mat[i][j]
-                p = ring.add(p, ring.monomial(c, ((var, e),)))
+            for e, mat in enumerate(coeff_mats):
+                if mat[i][j] != zero:
+                    p = ring.add(p, ring.monomial(mat[i][j], ((var, e),)))
             row.append(p)
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def kv1_approx(ring, n, degree, budget=200_000, witness_degree=None):
+def kv1_approx(ring, n, degree, budget=200_000):
     """Classes of GL_n(A) modulo ends of degree <= degree polynomial paths.
 
     H is the subgroup generated by {P(1) : P in GL_n(A[t]), deg P <= d,
-    P(0) = 0}; the returned quotient GL_n(A)/H surjects onto the true
+    P(0) = 0}, every candidate P decided by quasi_inverse over A[t]; the
+    returned quotient GL_n(A)/H surjects onto the true
     pi_0(GL_n(A[Delta])) and is monotone in the degree bound.
     """
     group = gl_group(ring, n, budget=budget)
-    if witness_degree is None:
-        witness_degree = 2 * degree
     pring = PolyRing(ring, ("t",))
 
     count = ring.size() ** (n * n * degree)
@@ -498,11 +504,9 @@ def kv1_approx(ring, n, degree, budget=200_000, witness_degree=None):
         # quasi-invertible path lies in GL_n(A)
         if end == zero or end in gens or end not in group.index:
             continue
-        pm = _poly_matrix(pring, "t", coeffs)
-        res = quasi_inverse(pring, pm, witness_degree=witness_degree,
-                            budget=budget)
-        if res.status == "ok":
-            gens.add(end)       # skipping an undecided one under-identifies
+        pm = _poly_matrix(pring, "t", (zero,) + coeffs)
+        if quasi_inverse(pring, pm).status == "ok":
+            gens.add(end)
 
     gens = sorted(gens)
     subgroup = group.subgroup_closure(gens)

@@ -31,9 +31,7 @@ def carrier_ring(ring, var):
         return PairRing(carrier_ring(ring.left, var),
                         carrier_ring(ring.right, var),
                         label=f"{ring.label}[{var}]")
-    if isinstance(ring, PolyLike):
-        return PolyRing(ring.scalar_base, ring.vars + (var,),
-                        label=f"{ring.label}[{var}]")
+    # a polynomial ring flattens into its scalar base and variables
     return PolyRing(ring, (var,), label=f"{ring.label}[{var}]")
 
 

@@ -387,10 +387,13 @@ def _first_nonmultiplicative(source, target, images, pairs):
     multiplicative, i.e. sum_l c_l images[l] over c = table[i][j] differs
     from images[i] * images[j]; None when every pair passes."""
     for i, j in pairs:
-        lhs = target.zero()
+        lhs = None             # starting from zero would cost one add
         for l, c in enumerate(source.table[i][j]):
             if c:
-                lhs = target.add(lhs, target.scalar(c, images[l]))
+                term = images[l] if c == 1 else target.scalar(c, images[l])
+                lhs = term if lhs is None else target.add(lhs, term)
+        if lhs is None:
+            lhs = target.zero()
         if lhs != target.mul(images[i], images[j]):
             return (i, j)
     return None
@@ -597,7 +600,8 @@ def ideal_closure(ring, gens):
 
 
 class SubgroupPresentation:
-    """Smith-normal-form presentation of a subgroup of ⊕ Z/d_i.
+    """Smith-normal-form presentation of the subgroup of ⊕ Z/d_i spanned
+    by the given vectors: Z^m modulo the integer relations among them.
 
     ``orders`` are the invariant factors, ``gens`` the corresponding
     elements of the ambient group, and ``coords`` maps a subgroup element
@@ -605,38 +609,20 @@ class SubgroupPresentation:
     """
 
     def __init__(self, ambient_orders, vectors):
-        self.ambient_orders = tuple(ambient_orders)
-        k = len(self.ambient_orders)
         vectors = [tuple(v) for v in vectors]
-        if not vectors:
-            vectors = [(0,) * k] if k else []
-        m = len(vectors)
-        if k == 0 or m == 0:
-            self.orders, self.gens = (), []
-            self._u, self._s, self._solver, self._m = None, (), None, 0
-            self._keep = []
-            return
-        s, u, _ = smith_normal_form(
-            transpose(_integer_kernel(vectors, self.ambient_orders)))
-        uinv = invert_unimodular(u)
-        diag = [s[i][i] for i in range(m)]
-        keep = [i for i in range(m) if diag[i] != 1]
-        self._m = m
-        self._u = u
-        self._s = diag
-        self._solver = LinearSolver(_relation_matrix(vectors,
-                                                     self.ambient_orders))
-        self._keep = keep
-        self.orders = tuple(diag[i] for i in keep)
-        gens = []
-        for i in keep:
-            w = [uinv[r][i] for r in range(m)]
-            v = [0] * k
-            for r, c in enumerate(w):
-                for l in range(k):
-                    v[l] += c * vectors[r][l]
-            gens.append(tuple(x % d for x, d in zip(v, self.ambient_orders)))
-        self.gens = gens
+        self._m = len(vectors)
+        self._relations = QuotientPresentation(
+            (0,) * self._m, _integer_kernel(vectors, ambient_orders))
+        self._solver = LinearSolver(_relation_matrix(vectors, ambient_orders))
+        self.orders = self._relations.orders
+        # the new basis: the columns of U^-1 kept by the quotient, pushed
+        # through the vectors
+        keep = self._relations._keep
+        uinv = invert_unimodular(self._relations._u) if keep else None
+        self.gens = [tuple(sum(uinv[r][i] * vec[l]
+                               for r, vec in enumerate(vectors)) % d
+                           for l, d in enumerate(ambient_orders))
+                     for i in keep]
 
     def size(self):
         n = 1
@@ -646,14 +632,10 @@ class SubgroupPresentation:
 
     def coords(self, v):
         """Coordinates of ambient element v in the subgroup basis."""
-        if self._m == 0:
-            return () if all(x == 0 for x in v) else None
         sol = self._solver.solve(list(v))
         if sol is None:
             return None
-        w = sol[:self._m]
-        uw = mat_vec(self._u, w)
-        return tuple(uw[i] % self._s[i] for i in self._keep)
+        return self._relations.project(sol[:self._m])
 
 
 def _relation_matrix(vectors, orders):

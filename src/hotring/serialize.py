@@ -101,8 +101,12 @@ def poly_from_json(data):
                                  "positive integers")
         coeff = _integers(_field(t, "coeff", "polynomial term"),
                           "polynomial 'coeff'")
-        terms.append((tuple(sorted(mono.items())), tuple(coeff)))
-    return Poly(sorted(terms))
+        if any(coeff):          # a zero coefficient is no term at all
+            terms.append((tuple(sorted(mono.items())), tuple(coeff)))
+    terms.sort()
+    if any(a[0] == b[0] for a, b in zip(terms, terms[1:])):
+        raise MalformedInput("polynomial lists a monomial twice")
+    return Poly(terms)
 
 
 def certificate_to_json(cert):

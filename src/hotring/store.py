@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.1"
 
 
 def canonical_json(obj):

@@ -187,9 +187,10 @@ def quasi_inverse_cascade(ring, m, budget=200_000):
     over a nilpotent ring, (b) adjugate and determinant of I + m over a
     commutative unital ring, (c) enumeration of every witness within the
     budget; otherwise ("unknown", None)."""
-    from hotring.glk import (_adjugate, _det, _is_commutative,
-                             _unit_matrix_shift, is_circle_witness, mat_add,
-                             mat_mul, mat_neg, mat_zero)
+    from hotring.glk import (_adjugate, _det, _invert_in_unital,
+                             _is_commutative, _unit_matrix_shift,
+                             is_circle_witness, mat_add, mat_mul, mat_neg,
+                             mat_zero)
 
     n = len(m)
     e = ring.nilpotency_class()
@@ -220,3 +221,106 @@ def quasi_inverse_cascade(ring, m, budget=200_000):
         found = witnesses_by_enumeration(ring, m)
         return ("ok", found[0]) if found else ("not_qi", None)
     return "unknown", None
+
+
+# ---------------------------------------------------------------------------
+# quasi-invertibility over A[t] by the strategy cascade that came before the
+# t-adic recurrence
+
+
+def quasi_inverse_poly_cascade(ring, m, witness_degree, budget=200_000):
+    """(status, witness) over a one-variable polynomial ring A[t], A
+    finite: (a) the alternating series over a nilpotent A, (b) adjugate and
+    determinant of I + m over a commutative unital A, (c) enumeration of
+    every witness of degree <= witness_degree within the budget; otherwise
+    ("unknown", None)."""
+    from itertools import product
+
+    from hotring.glk import (_adjugate, _det, _invert_in_unital,
+                             _is_commutative, _unit_matrix_shift,
+                             is_circle_witness, mat_add, mat_mul, mat_neg,
+                             mat_zero)
+
+    base, n = ring.scalar_base, len(m)
+    e = base.nilpotency_class()
+    if e is not None:
+        power, acc, sign = m, mat_zero(ring, n), -1
+        for _ in range(1, e):
+            acc = mat_add(ring, acc, power if sign == 1
+                          else mat_neg(ring, power))
+            power = mat_mul(ring, power, m)
+            sign = -sign
+        if is_circle_witness(ring, m, acc):
+            return "ok", acc
+    if base.unit is not None and _is_commutative(base):
+        shifted = _unit_matrix_shift(ring, m)
+        inv_det = _invert_in_unital(ring, _det(ring, shifted))
+        if inv_det is None:
+            return "not_qi", None
+        inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
+                        for row in _adjugate(ring, shifted))
+        identity = _unit_matrix_shift(ring, mat_zero(ring, n))
+        witness = mat_add(ring, inverse, mat_neg(ring, identity))
+        if is_circle_witness(ring, m, witness):
+            return "ok", witness
+    slots = n * n * (witness_degree + 1)
+    if base.size() ** slots > budget:
+        return "unknown", None
+    var = ring.vars[-1]
+    for cand in product(list(base.elements()), repeat=slots):
+        w = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                off = (i * n + j) * (witness_degree + 1)
+                p = ring.zero()
+                for k in range(witness_degree + 1):
+                    p = ring.add(p, ring.monomial(cand[off + k], ((var, k),)))
+                row.append(p)
+            w.append(tuple(row))
+        w = tuple(w)
+        if is_circle_witness(ring, m, w):
+            return "ok", w
+    return "not_qi", None
+
+
+def witnesses_up_to_degree(ring, m, degree):
+    """Every N of degree <= degree over A[t] with m o N = 0 = N o m, A
+    finite, by trying all coefficient matrices of N and comparing both
+    products coefficient by coefficient in A."""
+    from itertools import product
+
+    from hotring.glk import _poly_matrix, mat_add, mat_mul, mat_zero
+
+    base, var, n = ring.scalar_base, ring.vars[0], len(m)
+    top = max(p.degree_in(var) for row in m for p in row)
+    zero = mat_zero(base, n)
+    mc = [tuple(tuple(_coefficient(base, p, var, e) for p in row)
+                for row in m) for e in range(top + 1)]
+    coeff_mats = matrices(base, n)
+
+    def kills(a, b):
+        """a o b = 0 for coefficient lists a and b."""
+        for e in range(len(a) + len(b) - 1):
+            acc = mat_add(base, a[e] if e < len(a) else zero,
+                          b[e] if e < len(b) else zero)
+            for i in range(max(0, e - len(b) + 1), min(e, len(a) - 1) + 1):
+                acc = mat_add(base, acc, mat_mul(base, a[i], b[e - i]))
+            if acc != zero:
+                return False
+        return True
+
+    # coefficient 0 of both products reads w_0 only: try the rest of w
+    # only for the w_0 that pass it
+    return [_poly_matrix(ring, var, w)
+            for w0 in coeff_mats if kills(mc[:1], [w0]) and kills([w0], mc[:1])
+            for rest in product(coeff_mats, repeat=degree)
+            for w in [[w0] + list(rest)] if kills(mc, w) and kills(w, mc)]
+
+
+def _coefficient(base, p, var, e):
+    for mono, c in p.terms:
+        if mono == (((var, e),) if e else ()):
+            return c
+    return base.zero()
+

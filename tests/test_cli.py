@@ -356,6 +356,18 @@ def test_invalid_certificate_fails_verification_on_load(edit, witness):
     assert exc.value.witness == witness
 
 
+def test_certificate_polynomials_load_canonical():
+    from hotring import MalformedInput
+    data = _sq0_certificate_json()
+    data["images"][0].append({"mono": {"x": 5}, "coeff": [0]})
+    back = certificate_from_json(data, RINGS)
+    assert certificate_to_json(back) == _sq0_certificate_json()
+    data = _sq0_certificate_json()
+    data["images"][0].append(data["images"][0][-1])
+    with pytest.raises(MalformedInput, match="monomial twice"):
+        certificate_from_json(data, RINGS)
+
+
 def test_certificate_endpoints_load_as_homs():
     from hotring import VerificationFailure
     data = _sq0_certificate_json()

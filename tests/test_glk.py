@@ -16,7 +16,9 @@ from hotring import (BadUnit, CircleGroup, PolyRing, QiMatrix,
 from hotring.glk import (_poly_matrix, _quotient_invariants,
                          is_circle_witness, mat_zero)
 from hotring.poly import constant_of, evaluate
-from oracles import matrices, quasi_inverse_cascade, witnesses_by_enumeration
+from oracles import (matrices, quasi_inverse_cascade,
+                     quasi_inverse_poly_cascade, witnesses_by_enumeration,
+                     witnesses_up_to_degree)
 
 RINGS = corpus()
 
@@ -350,8 +352,8 @@ def _kv1_reference(ring, n, degree):
     for coeffs in itertools.product(mats, repeat=degree):
         if all(m == zero for m in coeffs):
             continue
-        pm = _poly_matrix(pring, "t", list(coeffs))
-        if quasi_inverse(pring, pm, witness_degree=2 * degree).status != "ok":
+        pm = _poly_matrix(pring, "t", [zero] + list(coeffs))
+        if quasi_inverse(pring, pm).status != "ok":
             continue
         end = tuple(tuple(constant_of(ring, evaluate(ring, p, "t", 1))
                           for p in row) for row in pm)
@@ -467,3 +469,135 @@ def test_gl2_upper_triangular_f2_by_brute_force():
     outside = [m for m in matrices(ring, 2) if m not in group.index]
     for m in rng.sample(group.elements, 4) + rng.sample(outside, 4):
         _check_against_brute_force(ring, group, m)
+
+
+# ---------------------------------------------------------------------------
+# quasi-invertibility over A[t]: the t-adic recurrence against the strategy
+# cascade it replaced, against adjugate and determinant, and against brute
+# force
+
+
+def _path_candidates(ring, n, degree):
+    """Every n x n matrix P over ring[t] with P(0) = 0 and deg P <= degree."""
+    pring = PolyRing(ring, ("t",))
+    zero = mat_zero(ring, n)
+    return pring, [_poly_matrix(pring, "t", (zero,) + coeffs)
+                   for coeffs in itertools.product(matrices(ring, n),
+                                                   repeat=degree)]
+
+
+def _without_unit(ring):
+    return validate_ring(ring.orders, ring.table, label=ring.label + "-nu")
+
+
+PATH_LEVELS = [(1, 1), (1, 2), (1, 3), (2, 1)]
+
+
+@pytest.mark.parametrize("n,d", PATH_LEVELS)
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_path_quasi_inverse_matches_the_cascade(label, n, d):
+    pring, candidates = _path_candidates(RINGS[label], n, d)
+    for pm in candidates:
+        res = quasi_inverse(pring, pm)
+        expected = quasi_inverse_poly_cascade(pring, pm, witness_degree=2 * d)
+        assert (res.status, res.witness) == expected
+
+
+@pytest.mark.parametrize("n,d", PATH_LEVELS)
+@pytest.mark.parametrize("label", ["graded_dual", "z2_unital", "z3_unital",
+                                   "z4_unital"])
+def test_path_recurrence_matches_the_adjugate(label, n, d):
+    # without its unit the ring goes to the t-adic recurrence; with it, to
+    # adjugate and determinant
+    pring, candidates = _path_candidates(RINGS[label], n, d)
+    bare = PolyRing(_without_unit(RINGS[label]), ("t",))
+    for pm in candidates:
+        res = quasi_inverse(pring, pm)
+        walk = quasi_inverse(bare, pm)
+        assert res.trace == ["unital-commutative"] + (
+            ["determinant not a unit"] if res.status == "not_qi" else [])
+        assert walk.trace == ["t-adic recurrence"]
+        assert (walk.status, walk.witness) == (res.status, res.witness)
+
+
+def _z16(unit=None):
+    return validate_ring((16,), (((1,),),), unit=unit, label="z16")
+
+
+def test_recurrence_finds_a_witness_past_twice_the_degree():
+    # 1 + 2t has inverse 1 + 14t + 4t^2 + 8t^3 over Z/16, a degree-3
+    # quasi-inverse of a degree-1 path
+    ring = _z16()
+    pring = PolyRing(ring, ("t",))
+    m = ((pring.monomial((2,), (("t", 1),)),),)
+    res = quasi_inverse(pring, m)
+    assert res.status == "ok"
+    assert res.witness == _poly_matrix(pring, "t", [((c,),) for c in
+                                                    ((0,), (14,), (4,), (8,))])
+    # so every even a is joined to 0 by the path a t, and GL_1 is one class
+    assert kv1_approx(ring, 1, 1).order == 1
+
+
+def test_recurrence_with_a_constant_term_matches_the_adjugate():
+    bare, unital = _z16(), _z16(unit=(1,))
+    walk_ring, adj_ring = PolyRing(bare, ("t",)), PolyRing(unital, ("t",))
+    for m0, m1 in itertools.product(range(16), repeat=2):
+        pm = _poly_matrix(walk_ring, "t", [(((m0,),),), (((m1,),),)])
+        walk, adj = quasi_inverse(walk_ring, pm), quasi_inverse(adj_ring, pm)
+        assert walk.trace == ["t-adic recurrence"]
+        assert (walk.status, walk.witness) == (adj.status, adj.witness)
+        # 1 + m is a unit of Z/16[t] exactly when 1 + m0 is a unit and m1
+        # is nilpotent, that is when m0 and m1 are both even
+        assert walk.status == ("ok" if m0 % 2 == m1 % 2 == 0 else "not_qi")
+    # 2 + 2t: 1 + m = 3 + 2t has inverse 11 + 14t + 12t^2 + 8t^3
+    pm = _poly_matrix(walk_ring, "t", [(((2,),),), (((2,),),)])
+    assert quasi_inverse(walk_ring, pm).witness == _poly_matrix(
+        walk_ring, "t", [(((c,),),) for c in (10, 14, 12, 8)])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_path_quasi_inverse_upper_triangular_f2_by_brute_force(d):
+    # T_2(F_2) is unital but not commutative, so the recurrence decides it
+    ring = _upper_triangular_f2()
+    pring, candidates = _path_candidates(ring, 1, d)
+    for pm in candidates:
+        res = quasi_inverse(pring, pm)
+        if res.status == "ok":
+            assert is_circle_witness(pring, pm, res.witness)
+        else:
+            assert res.status == "not_qi"
+            assert witnesses_up_to_degree(pring, pm, 3) == []
+
+
+def test_constant_term_upper_triangular_f2_by_brute_force():
+    # m0 + m1 t over T_2(F_2): m0 need not be 0 or quasi-invertible
+    ring = _upper_triangular_f2()
+    pring, elements = PolyRing(ring, ("t",)), list(ring.elements())
+    for m0, m1 in itertools.product(elements, repeat=2):
+        pm = _poly_matrix(pring, "t", [((m0,),), ((m1,),)])
+        found = witnesses_up_to_degree(pring, pm, 3)
+        res = quasi_inverse(pring, pm)
+        assert res.status == ("ok" if found else "not_qi")
+        assert res.witness == (found[0] if found else None)
+
+
+def test_path_quasi_inverse_over_the_zero_ring():
+    from hotring import zero_ring
+    for ring in (zero_ring(), validate_ring((), (), label="0-nu")):
+        pring = PolyRing(ring, ("t",))
+        for n in (1, 2):
+            z = mat_zero(pring, n)
+            res = quasi_inverse(pring, z)
+            assert (res.status, res.witness) == ("ok", z)
+        assert kv1_approx(ring, 2, 1).order == 1
+
+
+def test_quasi_inverse_unknown_only_off_one_finite_variable():
+    ring = RINGS["sq0_z2"]
+    two = PolyRing(ring, ("s", "t"))
+    m = ((two.monomial(ring.gen(0), (("s", 1), ("t", 1))),),)
+    assert quasi_inverse(two, m).status == "unknown"
+    from hotring.rings import ZZ
+    zt = PolyRing(ZZ, ("t",))
+    assert quasi_inverse(zt, ((zt.monomial(2, (("t", 1),)),),)).status == \
+        "unknown"
