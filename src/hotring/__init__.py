@@ -18,9 +18,8 @@ from .rings import (FiniteRing, FuncHom, Hom, IntegerRing, Ring, RingHom, ZZ,
                     validate_ring, zero_hom, zero_ring)
 from .poly import (LoopRing, PathRing, Poly, PolyLike, PolyRing,
                    coefficient_map, constant_of, double_loop_ring, evaluate,
-                   iconst, ivar, loop_ring, monomial, one_minus, path_ring,
-                   sigma_hom, slices, substitute, substitution_hom,
-                   swap_homotopy, tau_hom)
+                   iconst, ivar, monomial, one_minus, sigma_hom, slices,
+                   substitute, substitution_hom, swap_homotopy, tau_hom)
 from .virtual import (OmegaTildeRing, PairRing, Unitalization, alpha_hom,
                       beta_hom, mapping_path_ring, omega_pair_hom,
                       omega_tilde, unitalization)

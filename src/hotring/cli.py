@@ -3,13 +3,17 @@
 Every command reads JSON inputs, runs a library operation, prints one
 JSON record to stdout and persists it in a content-addressed store;
 rerunning with identical inputs is a cache hit with byte-identical
-output.  Exit codes: 0 success, 1 malformed input or unknown label,
+output.  Each file argument (FILE_ARGS) is read once: its SHA-256 goes
+into the store key, and its JSON is loaded into a ring, hom or K0
+diagram only on a miss, so a hit is served before any input loads.
+Exit codes: 0 success, 1 malformed input or unknown label,
 2 verification failure, 3 budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -23,11 +27,10 @@ from .homotopy import (HomotopyCertificate, homotopy_classes, search_up_to,
                        verify_certificate)
 from .rings import enumerate_homs
 from .serialize import (certificate_to_json, dump_json, hom_from_json,
-                        hom_to_json, k0_diagram_from_json, load_json,
-                        ring_from_json, ring_to_json)
+                        hom_to_json, k0_diagram_from_json, ring_from_json,
+                        ring_to_json)
 from .simplicial import check_simplicial_identities
-from .store import (ResultStore, content_hash, default_store_root, file_hash,
-                    TOOL_VERSION)
+from .store import ResultStore, content_hash, default_store_root, TOOL_VERSION
 from .triangle import (check_axioms, factorize, k0_presentation, octahedron,
                        puppe, rotation_witness, standard_triangle,
                        FibrationFamily)
@@ -39,76 +42,97 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_registry(args):
-    """corpus rings plus every ring file the command mentions, by label."""
-    registry = dict(corpus())
-    paths = []
-    for attr in ("ring", "source", "target", "ring_extra"):
-        val = getattr(args, attr, None)
-        if val is None:
-            continue
-        paths.extend(val if isinstance(val, list) else [val])
-    for path in paths:
-        if not (isinstance(path, str) and os.path.exists(path)):
-            continue
-        data = _read_json(path)
-        if isinstance(data, dict) and "orders" in data:
-            ring = ring_from_json(data)
-            registry[ring.label] = ring
-    return registry
+# every option that names a file, by what the file holds; every other
+# option is a parameter.  Ring options come first, so that the rings are
+# loaded before any hom that names them.
+FILE_ARGS = {"path": "ring", "source": "ring", "target": "ring",
+             "ring": "ring", "ring_extra": "ring",
+             "f0": "hom", "f1": "hom", "hom": "hom", "h": "hom", "k": "hom",
+             "hom_extra": "hom", "diagram": "diagram"}
 
 
-def _read_json(path):
+def _read(path):
+    """(SHA-256 of the file's bytes, its JSON), or CliError."""
     try:
-        return load_json(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", 1)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}", 1)
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CliError(f"not UTF-8 text: {path}", 1)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path} at line {exc.lineno} "
                        f"column {exc.colno}", 1)
+    return hashlib.sha256(raw).hexdigest(), data
 
 
-def _get_ring(registry, label):
-    if label not in registry:
-        raise CliError(f"unknown ring label: {label}", 1)
-    return registry[label]
+def _read_inputs(args):
+    """Every file argument read once: the files as (dest, number, path,
+    JSON), number None unless the option repeats, and the store key's
+    inputs, name -> SHA-256, a repeated option's files named dest0,
+    dest1, ..."""
+    files, inputs = [], {}
+    for dest in FILE_ARGS:
+        val = getattr(args, dest, None)
+        if val is None:
+            continue
+        paths = enumerate(val) if isinstance(val, list) else [(None, val)]
+        for i, path in paths:
+            name = dest if i is None else f"{dest}{i}"
+            inputs[name], data = _read(path)
+            files.append((dest, i, path, data))
+    return files, inputs
 
 
-def _load_hom(path, registry):
-    data = _read_json(path)
-    try:
-        return hom_from_json(data, registry)
-    except VerificationFailure as exc:
-        raise CliError(f"invalid homomorphism in {path}: {exc}", 1)
+def _load(files):
+    """dest -> loaded ring, hom or K0 diagram (a list for a repeated
+    option).  Rings join a registry beside corpus(), so that a hom may
+    name any of them by label."""
+    registry = corpus()
+    loaded = {}
+    for dest, i, path, data in files:
+        kind = FILE_ARGS[dest]
+        if kind == "ring":
+            obj = ring_from_json(data)
+            registry[obj.label] = obj
+        elif kind == "hom":
+            try:
+                obj = hom_from_json(data, registry)
+            except VerificationFailure as exc:
+                raise CliError(f"invalid homomorphism in {path}: {exc}", 1)
+        else:
+            obj = k0_diagram_from_json(data)
+        if i is None:
+            loaded[dest] = obj
+        else:
+            loaded.setdefault(dest, []).append(obj)
+    return loaded
 
 
 # ---------------------------------------------------------------------------
-# command payloads
+# command payloads; each receives the parsed arguments and the loaded files
 
 
-def cmd_check_ring(args, registry):
-    ring = ring_from_json(_read_json(args.path))
+def cmd_check_ring(args, inp):
+    ring = inp["path"]
     return 0, {"valid": True, "label": ring.label, "orders": list(ring.orders),
                "order": ring.size(),
                "unit": list(ring.unit) if ring.unit is not None else None}
 
 
-def cmd_homs(args, registry):
-    src = ring_from_json(_read_json(args.source))
-    tgt = ring_from_json(_read_json(args.target))
-    homs = enumerate_homs(src, tgt, budget=args.budget)
+def cmd_homs(args, inp):
+    homs = enumerate_homs(inp["source"], inp["target"], budget=args.budget)
     return 0, {"count": len(homs),
                "homs": [[list(i) for i in h.images] for h in homs]}
 
 
-def cmd_homotopy(args, registry):
-    registry = dict(registry)
-    for path in (args.source, args.target):
-        ring = ring_from_json(_read_json(path))
-        registry[ring.label] = ring
-    f0 = _load_hom(args.f0, registry)
-    f1 = _load_hom(args.f1, registry)
-    outcome = search_up_to(f0, f1, args.degree, budget=args.budget)
+def cmd_homotopy(args, inp):
+    outcome = search_up_to(inp["f0"], inp["f1"], args.degree,
+                           budget=args.budget)
     if isinstance(outcome, HomotopyCertificate):
         report = verify_certificate(outcome)
         return 0, {"found": True, "verified": report.valid,
@@ -117,10 +141,8 @@ def cmd_homotopy(args, registry):
                "searched": outcome.searched}
 
 
-def cmd_classes(args, registry):
-    src = ring_from_json(_read_json(args.source))
-    tgt = ring_from_json(_read_json(args.target))
-    homs = enumerate_homs(src, tgt, budget=args.budget)
+def cmd_classes(args, inp):
+    homs = enumerate_homs(inp["source"], inp["target"], budget=args.budget)
     result = homotopy_classes(homs, args.degree, budget=args.budget)
     classes = [[[list(i) for i in result.homs[ix].images] for ix in cls]
                for cls in result.classes()]
@@ -133,10 +155,10 @@ def cmd_classes(args, registry):
                "merges": sorted(list(e) for e in result.edges)}
 
 
-def cmd_kv1(args, registry):
+def cmd_kv1(args, inp):
     if args.degree < 1 or args.size < 1:
         raise CliError("kv1 needs --size >= 1 and --degree >= 1", 1)
-    ring = ring_from_json(_read_json(args.ring))
+    ring = inp["ring"]
     history = []
     pres = None
     for d in range(1, args.degree + 1):
@@ -153,9 +175,8 @@ def cmd_kv1(args, registry):
     return 0, payload
 
 
-def cmd_factorize(args, registry):
-    u = _load_hom(args.hom, registry)
-    fac = factorize(u)
+def cmd_factorize(args, inp):
+    fac = factorize(inp["hom"])
     rng = random.Random(args.seed)
     result = fac.verify(probes=args.probes, rng=rng)
     code = 0 if result["ok"] else 2
@@ -164,9 +185,8 @@ def cmd_factorize(args, registry):
                   "certificate_mode": result["certificate"].mode}
 
 
-def cmd_puppe(args, registry):
-    g = _load_hom(args.hom, registry)
-    seq = puppe(g, args.length, depth_cap=args.depth_cap)
+def cmd_puppe(args, inp):
+    seq = puppe(inp["hom"], args.length, depth_cap=args.depth_cap)
     rng = random.Random(args.seed)
     result = seq.verify(probes=args.probes, rng=rng)
     code = 0 if result["ok"] else 2
@@ -174,8 +194,8 @@ def cmd_puppe(args, registry):
                   "failures": [str(f) for f in result["failures"]]}
 
 
-def cmd_triangle(args, registry):
-    g = _load_hom(args.hom, registry)
+def cmd_triangle(args, inp):
+    g = inp["hom"]
     tri, _ = standard_triangle(g)
     cert, _, _ = rotation_witness(g)
     rng = random.Random(args.seed)
@@ -186,32 +206,28 @@ def cmd_triangle(args, registry):
                   "checks": report.checked}
 
 
-def cmd_octahedron(args, registry):
-    h = _load_hom(args.h, registry)
-    k = _load_hom(args.k, registry)
+def cmd_octahedron(args, inp):
     rng = random.Random(args.seed)
-    report = octahedron(h, k, probes=args.probes, rng=rng)
+    report = octahedron(inp["h"], inp["k"], probes=args.probes, rng=rng)
     code = 0 if report.ok else 2
     return code, report.data
 
 
-def cmd_k0(args, registry):
-    diagram = k0_diagram_from_json(_read_json(args.diagram))
-    result = k0_presentation(diagram)
+def cmd_k0(args, inp):
+    result = k0_presentation(inp["diagram"])
     return 0, result.summary()
 
 
-def cmd_simplicial_check(args, registry):
-    ring = ring_from_json(_read_json(args.ring))
+def cmd_simplicial_check(args, inp):
     rng = random.Random(args.seed)
-    checks, failures = check_simplicial_identities(ring, args.levels,
+    checks, failures = check_simplicial_identities(inp["ring"], args.levels,
                                                    args.probes, rng)
     code = 0 if not failures else 2
     return code, {"checks": checks, "failures": len(failures),
                   "levels": args.levels}
 
 
-def cmd_corpus(args, registry):
+def cmd_corpus(args, inp):
     rings = corpus()
     outdir = args.dir or os.path.join(args.out or default_store_root(),
                                       "corpus")
@@ -229,16 +245,10 @@ def cmd_corpus(args, registry):
     return 0, {"labels": sorted(rings), "written": written}
 
 
-def cmd_axioms(args, registry):
-    rings = {}
+def cmd_axioms(args, inp):
+    rings = {ring.label: ring for ring in inp.get("ring_extra", [])}
     homs = {}
-    for path in args.ring_extra or []:
-        ring = ring_from_json(_read_json(path))
-        rings[ring.label] = ring
-    local = dict(registry)
-    local.update(rings)
-    for path in args.hom_extra or []:
-        hom = _load_hom(path, local)
+    for path, hom in zip(args.hom_extra or [], inp.get("hom_extra", [])):
         homs[os.path.basename(path)] = hom
         rings.setdefault(hom.source.label, hom.source)
         rings.setdefault(hom.target.label, hom.target)
@@ -347,20 +357,6 @@ def build_parser():
     return parser
 
 
-def _input_hashes(args):
-    hashes = {}
-    for attr in ("path", "source", "target", "f0", "f1", "hom", "ring",
-                 "h", "k", "diagram"):
-        val = getattr(args, attr, None)
-        if isinstance(val, str) and os.path.exists(val):
-            hashes[attr] = file_hash(val)
-    for attr in ("ring_extra", "hom_extra"):
-        for i, val in enumerate(getattr(args, attr, None) or []):
-            if os.path.exists(val):
-                hashes[f"{attr}{i}"] = file_hash(val)
-    return hashes
-
-
 def _params(args):
     skip = {"command", "out", "json", "no_store", "func"}
     out = {}
@@ -380,8 +376,8 @@ def main(argv=None):
     store = ResultStore(store_root) if not args.no_store else None
 
     try:
-        registry = _load_registry(args)
-        inputs, params = _input_hashes(args), _params(args)
+        files, inputs = _read_inputs(args)
+        params = _params(args)
         key = content_hash({"command": args.command, "inputs": inputs,
                             "params": params, "version": TOOL_VERSION})
         if store is not None:
@@ -389,7 +385,7 @@ def main(argv=None):
             if cached is not None:
                 _emit(cached, args.json)
                 return int(cached.get("exit_code", 0))
-        code, payload = COMMANDS[args.command](args, registry)
+        code, payload = COMMANDS[args.command](args, _load(files))
         record = {
             "command": args.command,
             "inputs": inputs,

@@ -37,7 +37,7 @@ import itertools
 
 from .errors import BadUnit, BudgetExceeded, VerificationFailure
 from .intlin import invariant_factors
-from .poly import PolyLike, PolyRing
+from .poly import Poly, PolyLike, PolyRing
 from .rings import FiniteRing, _UnionFind
 
 
@@ -461,20 +461,19 @@ class Pi0Presentation:
 
 
 def _poly_matrix(ring, var, coeff_mats):
-    """The matrix sum_e coeff_mats[e] var^e over the polynomial ring."""
+    """The matrix sum_e coeff_mats[e] var^e over the polynomial ring.
+
+    Terms are listed by exponent, which is monomial order, so each entry
+    is canonical as built."""
     n = len(coeff_mats[0])
     zero = ring.scalar_base.zero()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = ring.zero()
-            for e, mat in enumerate(coeff_mats):
-                if mat[i][j] != zero:
-                    p = ring.add(p, ring.monomial(mat[i][j], ((var, e),)))
-            row.append(p)
-        rows.append(tuple(row))
-    return tuple(rows)
+    monos = [((var, e),) if e else () for e in range(len(coeff_mats))]
+    return tuple(
+        tuple(Poly(tuple((monos[e], mat[i][j])
+                         for e, mat in enumerate(coeff_mats)
+                         if mat[i][j] != zero))
+              for j in range(n))
+        for i in range(n))
 
 
 def kv1_approx(ring, n, degree, budget=200_000):

@@ -475,14 +475,6 @@ class LoopRing(PolyLike):
         return self.from_factor(_base_sample_poly(self.base, rng))
 
 
-def path_ring(base, var="x"):
-    return PathRing(base, var)
-
-
-def loop_ring(base, var="x"):
-    return LoopRing(base, var)
-
-
 def double_loop_ring(base, inner="x", outer="y"):
     return LoopRing(LoopRing(base, inner), outer)
 

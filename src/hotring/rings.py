@@ -333,9 +333,6 @@ class RingHom(Hom):
                 "multiplicativity fails on generators {},{}".format(*bad),
                 witness=bad)
 
-    def key(self):
-        return self.images
-
     def __eq__(self, other):
         return (isinstance(other, RingHom) and self.source is other.source
                 and self.target is other.target and self.images == other.images)

@@ -167,11 +167,6 @@ def k0_diagram_from_json(data):
     return K0Diagram(objects, weq=edges["weq"], fib_seq=edges["fib_seq"])
 
 
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def dump_json(path, data):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)

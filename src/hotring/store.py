@@ -23,13 +23,6 @@ def content_hash(obj):
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def file_hash(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 class ResultStore:
     def __init__(self, root):
         self.root = root

@@ -386,3 +386,235 @@ def test_certificate_with_an_infinite_source_does_not_serialize():
     cert = path_contraction_certificate(PathRing(RINGS["sq0_z2"], "x"), "y")
     with pytest.raises(HotringError, match="only finite-source"):
         certificate_to_json(cert)
+
+
+# ---------------------------------------------------------------------------
+# input files: read once, hashed into the store key, loaded only on a miss
+
+
+def _bad_input(workdir, case):
+    """A path to a file argument that cannot be read as JSON, by case."""
+    path = workdir / f"{case}.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "non-utf8":
+        path.write_bytes(b'{"orders": [2], "label": "\xff"}')
+    elif case == "malformed":
+        path.write_bytes(b'{"orders": [2]')
+    return path
+
+
+BAD_INPUT_CASES = [("missing", "no such file: "),
+                   ("directory", "cannot read "),
+                   ("non-utf8", "not UTF-8 text: "),
+                   ("malformed", "malformed JSON in ")]
+
+BAD_INPUT_COMMANDS = {
+    "ring": lambda w, bad: ["check-ring", bad],
+    "source": lambda w, bad: ["homs", "--source", bad,
+                              "--target", w / "sq0_z2.json"],
+    "hom": lambda w, bad: ["factorize", "--hom", bad],
+    "diagram": lambda w, bad: ["k0", "--diagram", bad],
+}
+
+
+@pytest.mark.parametrize("case, needle", BAD_INPUT_CASES,
+                         ids=[c for c, _ in BAD_INPUT_CASES])
+@pytest.mark.parametrize("arg", sorted(BAD_INPUT_COMMANDS))
+def test_unreadable_input_is_an_error_record(workdir, capsys, arg, case,
+                                             needle):
+    bad = _bad_input(workdir, case)
+    code = main([str(a) for a in BAD_INPUT_COMMANDS[arg](workdir, bad)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"].startswith(needle + str(bad))
+
+
+def test_unreadable_input_is_an_error_record_under_optimize(workdir):
+    bad = _bad_input(workdir, "directory")
+    done = _run_optimized(workdir, ["homs", "--source", bad,
+                                    "--target", workdir / "sq0_z2.json"])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert json.loads(done.stderr)["error"].startswith(f"cannot read {bad}")
+
+
+def test_missing_optional_ring_file_exit_one(workdir, capsys):
+    missing = workdir / "missing.json"
+    code = main(["factorize", "--hom", str(workdir / "h.json"),
+                 "--source", str(missing)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == \
+        {"error": f"no such file: {missing}"}
+
+
+LOOPS = {"objects": ["A", "OA", "0"], "weq": [],
+         "fib_seq": [["OA", "0", "A"], ["0", "0", "0"]]}
+
+# SHA-256 of the bytes dump_json writes for each file of `relative`
+DIGEST = {
+    "sq0_z2.json":
+        "ba4822fb0282e577a90dbfd2417a9a223dd6978d878fd41c628a15d8c9304ea5",
+    "z2_unital.json":
+        "8c386035e82c58ba429b4e5e7b5b667e687531c7519da544494d5fef6a22861a",
+    "z3_unital.json":
+        "5702e5ff74c0485eefecab3083dd864de6965153d82bf88cbfac88379ce3b131",
+    "tower3.json":
+        "b36930a39f041f40b49953b8e93ca6d837dab385cf6f37e6888ad6286db9cc2f",
+    "tower2.json":
+        "f7de36f5ec2925f1073f3cc768e20ba3ecfaaa422ca40970df9e957f88588c3e",
+    "h.json":
+        "e7d47928ce2ed434b93317bb8e93241abe8644a281640a774739eeb8d6c026bc",
+    "k.json":
+        "f9b0a8f0fb1366d622a92388ff54008e5144b9dade614dcf4d25e26e43ab0e57",
+    "loops.json":
+        "b8cb891ef8e1782681e6667964bb8ee7507c03ed05c1a8194a0a0a502331bd65",
+}
+
+DEFAULTS = {"budget": 200000, "probes": 60, "seed": 0}
+
+# argv, store key and record less its timestamp, as the CLI of version
+# 0.1.1 stored them; any change here changes what a store holds
+PINNED = [
+    (["check-ring", "sq0_z2.json"],
+     "36a8241e6ca40da7a0fedc54f6ad9ba57d3924a900af82470f42501d7a8f087c",
+     {"command": "check-ring", "exit_code": 0,
+      "inputs": {"path": DIGEST["sq0_z2.json"]},
+      "params": {**DEFAULTS, "path": "sq0_z2.json"},
+      "payload": {"label": "sq0_z2", "order": 2, "orders": [2],
+                  "unit": None, "valid": True},
+      "version": "0.1.1"}),
+    (["homs", "--source", "sq0_z2.json", "--target", "z2_unital.json"],
+     "c7fd16e3df3947e206eedf6c2f8e1940c39eef0bdcff19748519ad4397ce7db4",
+     {"command": "homs", "exit_code": 0,
+      "inputs": {"source": DIGEST["sq0_z2.json"],
+                 "target": DIGEST["z2_unital.json"]},
+      "params": {**DEFAULTS, "source": "sq0_z2.json",
+                 "target": "z2_unital.json"},
+      "payload": {"count": 1, "homs": [[[0]]]},
+      "version": "0.1.1"}),
+    (["kv1", "--ring", "z3_unital.json", "--size", "2", "--degree", "1"],
+     "bdc12dc7ac86bcba5068c406bf81741467878755d009ffb7b1fc67f1110eaa51",
+     {"command": "kv1", "exit_code": 0,
+      "inputs": {"ring": DIGEST["z3_unital.json"]},
+      "params": {**DEFAULTS, "degree": 1, "ring": "z3_unital.json",
+                 "size": 2},
+      "payload": {"classes": 2,
+                  "determinant_certificate": {"determinant_image_order": 2,
+                                              "lower_bound_matches": True,
+                                              "subgroup_in_kernel": True},
+                  "gl_order": 48, "identified_subgroup_order": 24,
+                  "invariant_factors": [2], "level": [2, 1],
+                  "monotone_history": [2]},
+      "version": "0.1.1"}),
+    (["factorize", "--hom", "h.json", "--source", "tower3.json",
+      "--target", "tower2.json"],
+     "5217835c63ff148d553b7ed2846a9dd7716f66dae39be6377715e50b2ccaeb82",
+     {"command": "factorize", "exit_code": 0,
+      "inputs": {"hom": DIGEST["h.json"], "source": DIGEST["tower3.json"],
+                 "target": DIGEST["tower2.json"]},
+      "params": {**DEFAULTS, "hom": "h.json", "source": "tower3.json",
+                 "target": "tower2.json"},
+      "payload": {"certificate_mode": "probes", "failures": [], "ok": True},
+      "version": "0.1.1"}),
+    (["octahedron", "--h", "h.json", "--k", "k.json", "--ring", "tower3.json",
+      "--probes", "5"],
+     "0d8af3512e8bcc29da9bc9cee5089d7203ca5e8b3f9b6dbb6422581d702afd83",
+     {"command": "octahedron", "exit_code": 0,
+      "inputs": {"h": DIGEST["h.json"], "k": DIGEST["k.json"],
+                 "ring_extra0": DIGEST["tower3.json"]},
+      "params": {**DEFAULTS, "h": "h.json", "k": "k.json", "probes": 5,
+                 "ring_extra": ["tower3.json"]},
+      "payload": {"failures": [], "ok": True,
+                  "orders": {"A": 2, "B": 8, "C": 4, "D": 2, "E": 2,
+                             "F": 4}},
+      "version": "0.1.1"}),
+    (["k0", "--diagram", "loops.json"],
+     "edfc6c594f43ddeccfa89bdb80c13dc508c93f2a793dd3b292a969ee3407e94c",
+     {"command": "k0", "exit_code": 0,
+      "inputs": {"diagram": DIGEST["loops.json"]},
+      "params": {**DEFAULTS, "diagram": "loops.json"},
+      "payload": {"classes": {"0": [0], "A": [-1], "OA": [1]},
+                  "invariant_factors": [], "rank": 1},
+      "version": "0.1.1"}),
+    (["axioms", "--hom", "h.json", "--hom", "k.json", "--probes", "5"],
+     "b530d732ecfbafcc3e31d3915de1d7b6d54890430a4c0672eca47f919ed12924",
+     {"command": "axioms", "exit_code": 0,
+      "inputs": {"hom_extra0": DIGEST["h.json"],
+                 "hom_extra1": DIGEST["k.json"]},
+      "params": {**DEFAULTS, "hom_extra": ["h.json", "k.json"], "probes": 5,
+                 "ring_extra": None},
+      "payload": {"axioms": {"Ax1": True, "Ax2": True, "Ax3": True,
+                             "Ax4": True},
+                  "ok": True},
+      "version": "0.1.1"}),
+]
+
+
+@pytest.fixture()
+def relative(workdir, monkeypatch):
+    """workdir as the current directory, so that argv holds relative paths
+    and params no absolute one, as in the cli-replay benchmark."""
+    dump_json(workdir / "loops.json", LOOPS)
+    monkeypatch.chdir(workdir)
+    return workdir
+
+
+@pytest.mark.parametrize("argv, key, record", PINNED,
+                         ids=[argv[0] for argv, _, _ in PINNED])
+def test_store_key_and_record_are_pinned(relative, capsys, argv, key,
+                                         record):
+    code, out = run(capsys, argv)
+    assert code == 0
+    printed = json.loads(out)
+    del printed["timestamp"]
+    assert printed == record
+    (stored,) = (relative / "store").glob("*.json")
+    assert stored.stem == key
+
+
+def _refuse(*_args, **_kwargs):
+    raise RuntimeError("input loaded on a cache hit")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in PINNED],
+                         ids=[argv[0] for argv, _, _ in PINNED])
+def test_cache_hit_loads_no_input(relative, capsys, monkeypatch, argv):
+    first = run(capsys, argv)
+    for name in ("ring_from_json", "hom_from_json", "k0_diagram_from_json",
+                 "corpus"):
+        monkeypatch.setattr(f"hotring.cli.{name}", _refuse)
+    assert run(capsys, argv) == first
+
+
+@pytest.mark.parametrize("argv, rings", [
+    (["check-ring", "sq0_z2.json"], 1),
+    (["homs", "--source", "sq0_z2.json", "--target", "z2_unital.json"], 2),
+    (["classes", "--source", "z2_unital.json", "--target", "z2_unital.json",
+      "--degree", "1"], 2),
+    (["homotopy", "--source", "z2_unital.json", "--target", "z2_unital.json",
+      "--f0", "id1.json", "--f1", "id1.json", "--degree", "1"], 2),
+    (["kv1", "--ring", "z3_unital.json", "--size", "1", "--degree", "1"], 1),
+    (["simplicial-check", "--ring", "sq0_z2.json", "--levels", "2",
+      "--probes", "5"], 1),
+    (["factorize", "--hom", "h.json", "--source", "tower3.json",
+      "--target", "tower2.json"], 2),
+    (["octahedron", "--h", "h.json", "--k", "k.json", "--ring", "tower3.json",
+      "--probes", "5"], 1),
+    (["axioms", "--ring", "tower3.json", "--ring", "tower2.json",
+      "--hom", "h.json", "--probes", "5"], 2),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_each_ring_file_loads_once_on_a_miss(relative, capsys, monkeypatch,
+                                             argv, rings):
+    dump_json(relative / "id1.json",
+              {"source": "z2_unital", "target": "z2_unital", "images": [[1]]})
+    calls = []
+
+    def counting(data):
+        calls.append(data["label"])
+        return ring_from_json(data)
+    monkeypatch.setattr("hotring.cli.ring_from_json", counting)
+    code, _ = run(capsys, argv)
+    assert code == 0
+    assert len(calls) == rings

@@ -1,9 +1,11 @@
 """Static guards on the package source."""
 
+import argparse
 import ast
 import pathlib
 
 import hotring
+from hotring.cli import FILE_ARGS, build_parser
 
 SRC = pathlib.Path(hotring.__file__).parent
 
@@ -45,3 +47,20 @@ def test_no_assert_in_polynomial_modules():
                       or (isinstance(node, ast.Raise) and node.exc is not None
                           and _raises_assertion_error(node))]
     assert offenders == []
+
+
+# every option of a CLI command that is a parameter, not a file
+CLI_PARAMETERS = {"help", "budget", "seed", "probes", "out", "json",
+                  "no_store", "degree", "size", "length", "depth_cap",
+                  "levels", "dir"}
+
+
+def test_every_cli_file_option_is_an_input():
+    """Each option that names a file is in cli.FILE_ARGS, so that it is
+    read once, hashed into the store key and loaded only on a miss; no
+    file argument can bypass the reader."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for sub in commands.choices.values()
+             for action in sub._actions}
+    assert dests - CLI_PARAMETERS == set(FILE_ARGS)
