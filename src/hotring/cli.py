@@ -90,16 +90,19 @@ def _read_inputs(args):
 
 def _load(files):
     """dest -> loaded ring, hom or K0 diagram (a list for a repeated
-    option).  Rings join a registry beside corpus(), so that a hom may
-    name any of them by label."""
-    registry = corpus()
+    option).  A hom may name by label a ring of corpus(), built only when
+    a hom is loaded, or any ring loaded from a file, which wins over a
+    corpus ring of the same label."""
+    rings, registry = {}, None
     loaded = {}
     for dest, i, path, data in files:
         kind = FILE_ARGS[dest]
         if kind == "ring":
             obj = ring_from_json(data)
-            registry[obj.label] = obj
+            rings[obj.label] = obj
         elif kind == "hom":
+            if registry is None:
+                registry = {**corpus(), **rings}
             try:
                 obj = hom_from_json(data, registry)
             except VerificationFailure as exc:

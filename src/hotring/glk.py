@@ -403,10 +403,11 @@ class CircleGroup:
 
 def gl_group(ring, n, budget=200_000):
     """GL_n over a finite ring, with witnesses: the circle powers of each
-    matrix not yet decided settle it and all its powers at once.  Memoized
-    on the ring, so the group lives exactly as long as the ring."""
-    if n in ring.gl_groups:
-        return ring.gl_groups[n]
+    matrix not yet decided settle it and all its powers at once.  Kept in
+    ring.derived under ("gl", n), so the group lives exactly as long as
+    the ring."""
+    if ("gl", n) in ring.derived:
+        return ring.derived[("gl", n)]
     count = ring.size() ** (n * n)
     if count > budget:
         raise BudgetExceeded(count, budget)
@@ -427,7 +428,7 @@ def gl_group(ring, n, budget=200_000):
         for j, p in enumerate(cycle):
             witnesses[p] = cycle[-j]
     group = CircleGroup(ring, n, sorted(witnesses), witnesses)
-    ring.gl_groups[n] = group
+    ring.derived[("gl", n)] = group
     return group
 
 

@@ -16,7 +16,7 @@ from .poly import (PolyLike, PolyRing, coefficient_map, constant_of,
                    evaluate, imul, ivar, one_minus, slices, substitute,
                    substitution_hom)
 from .rings import (FuncHom, RingHom, _UnionFind, _all_pairs,
-                    _coefficient_checks, _first_nonmultiplicative,
+                    _annihilator, _first_nonmultiplicative,
                     _multiplicative_images, compose, identity_hom, zero_hom)
 from .virtual import PairRing
 
@@ -294,10 +294,6 @@ class HomotopyChain:
         self.start = start
         self.certs = list(certs)
 
-    @property
-    def end(self):
-        return self.certs[-1].f1 if self.certs else self.start
-
     def validate(self, probes=20, rng=None):
         current = self.start
         for cert in self.certs:
@@ -337,88 +333,54 @@ class NotFoundAtBound:
         return f"<not found at degree {self.degree}; {self.searched} candidates>"
 
 
-def _annihilator(ring, order):
-    return sorted(x for x in ring.elements()
-                  if ring.is_zero(ring.scalar(order, x)))
-
-
-class _SearchPlan:
-    """What the searches between homs source -> target share: the
-    coefficient-check tables of rings._multiplicative_images, by degree,
-    and the annihilator of each generator order, each built on first use.
-    homotopy_classes builds one per call and drops it when it returns."""
-
-    def __init__(self, source, target):
-        self.source = source
-        self.target = target
-        self.checks = {}
-        self.annihilators = {}
-
-    def checks_at(self, degree):
-        if degree not in self.checks:
-            self.checks[degree] = _coefficient_checks(self.source, degree)
-        return self.checks[degree]
-
-    def annihilator(self, order):
-        if order not in self.annihilators:
-            self.annihilators[order] = _annihilator(self.target, order)
-        return self.annihilators[order]
-
-
-def search_elementary(f0, f1, degree, budget=200_000, var="x", plan=None):
-    """Search for a certificate f0 ~ f1 with images of degree <= degree.
+def search_elementary(f0, f1, degree, budget=200_000):
+    """Search for a certificate f0 ~ f1 with images of degree <= degree in
+    the variable x.
 
     The image of generator i is searched as its coefficient slots
     (lo, m_1, ..., m_{degree-1}, top): the endpoint constraints pin the
     constant coefficient lo = f0(g_i) and the top one, top = f1(g_i) - lo -
     sum m, so only the middle coefficients are searched, each drawn from
-    the annihilator of the generator order.  Multiplicativity in R[var] is
+    the annihilator of the generator order.  Multiplicativity in R[x] is
     checked coefficient by coefficient on R elements as soon as the slots
     it reads are assigned, and a failing prefix of slots skips every
     completion (see rings._multiplicative_images); only the hit becomes
     polynomials.  ``searched`` counts whole options, one per choice of all
     middle coefficients of a generator, pruned ones included, so it is
-    the count of trying every option in turn.  ``plan`` is the
-    _SearchPlan of a homotopy_classes call, which shares its check tables
-    and annihilators across that call's searches; without one the search
-    builds its own.  The hit is re-verified by verify_certificate, which
-    does not use those tables.  Returns a verified certificate or a
-    NotFoundAtBound verdict.
+    the count of trying every option in turn.  The check tables and the
+    annihilators are kept in the source's and the target's ``derived``,
+    so every search between two rings shares them.  The hit is
+    re-verified by verify_certificate, which does not use those tables.
+    Returns a verified certificate or a NotFoundAtBound verdict.
     """
     src, ring = f0.source, f0.target
     if f1.source is not src or f1.target is not ring:
         raise HotringError("f0 and f1 must share source and target")
-    if plan is None:
-        plan = _SearchPlan(src, ring)
-    elif plan.source is not src or plan.target is not ring:
-        raise HotringError("the search plan is for another source or target")
-    carrier = carrier_ring(ring, var)
+    carrier = carrier_ring(ring, "x")
 
     if degree == 0:
         slots = [[[lo] if lo == hi else []]
                  for lo, hi in zip(f0.images, f1.images)]
         sums = None
     else:
-        slots = [[[lo]] + [plan.annihilator(d)] * (degree - 1)
+        slots = [[[lo]] + [_annihilator(ring, d)] * (degree - 1)
                  for lo, d in zip(f0.images, src.orders)]
         sums = f1.images
 
     searched = [0]
     found = next(_multiplicative_images(src, ring, slots, budget, sums=sums,
-                                        tried=searched,
-                                        checks=plan.checks_at(degree)),
-                 None)
+                                        tried=searched), None)
     if found is None:
         return NotFoundAtBound(degree, searched[0])
     images = []
     for coeffs in found:
         acc = carrier.zero()
         for e, c in enumerate(coeffs):
-            acc = carrier.add(acc, carrier.monomial(c, ((var, e),))
+            acc = carrier.add(acc, carrier.monomial(c, (("x", e),))
                               if e else carrier.const(c))
         images.append(acc)
     cert = HomotopyCertificate(RingHom(src, carrier, images, label="h"),
-                               f0, f1, var)
+                               f0, f1, "x")
     report = verify_certificate(cert)
     if not report.valid:
         raise VerificationFailure(
@@ -427,13 +389,11 @@ def search_elementary(f0, f1, degree, budget=200_000, var="x", plan=None):
     return cert
 
 
-def search_up_to(f0, f1, degree, budget=200_000, var="x", plan=None):
-    """Try degrees 0..degree in order; first hit wins (deterministic).
-    ``plan`` is passed on to search_elementary."""
+def search_up_to(f0, f1, degree, budget=200_000):
+    """Try degrees 0..degree in order; first hit wins (deterministic)."""
     searched = 0
     for d in range(degree + 1):
-        outcome = search_elementary(f0, f1, d, budget=budget, var=var,
-                                    plan=plan)
+        outcome = search_elementary(f0, f1, d, budget=budget)
         if isinstance(outcome, HomotopyCertificate):
             return outcome
         searched += outcome.searched
@@ -489,18 +449,17 @@ class ClassesResult:
         return self._index.get(hom.images)
 
 
-def homotopy_classes(homs, degree, budget=200_000, var="x"):
+def homotopy_classes(homs, degree, budget=200_000):
     """Union-find closure over elementary homotopies of degree <= degree.
 
     Every merge carries a verified certificate; the partition refines the
     true homotopy relation (only genuine identifications are made).  The
-    searches of one call share one _SearchPlan (check tables by degree,
-    annihilators by generator order); it lives only as long as the call,
-    so repeating a call repeats its work."""
+    searches read the check tables and annihilators that search_elementary
+    keeps on the source and target, so a later call between the same
+    rings builds none of them again."""
     homs = sorted(homs, key=lambda h: h.images)
     uf = _UnionFind(len(homs))
     edges = {}
-    plan = _SearchPlan(homs[0].source, homs[0].target) if homs else None
 
     remaining = len(homs)
     for i in range(len(homs)):
@@ -509,8 +468,7 @@ def homotopy_classes(homs, degree, budget=200_000, var="x"):
         for j in range(i + 1, len(homs)):
             if uf.find(i) == uf.find(j):
                 continue
-            outcome = search_up_to(homs[i], homs[j], degree, budget=budget,
-                                   var=var, plan=plan)
+            outcome = search_up_to(homs[i], homs[j], degree, budget=budget)
             if isinstance(outcome, HomotopyCertificate):
                 edges[(i, j)] = outcome
                 uf.union(i, j)

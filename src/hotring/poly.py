@@ -310,6 +310,8 @@ class PolyLike(Ring):
                                f"{scalar_base.label} is itself polynomial")
         self.scalar_base = scalar_base
         self.vars = tuple(vars)
+        if len(set(self.vars)) != len(self.vars):
+            raise HotringError(f"{label}: repeated variable in {self.vars}")
         self.label = label
 
     def zero(self):

@@ -122,7 +122,11 @@ class FiniteRing(Ring):
             if prods:
                 products.append((i, prods))
         self._products = tuple(products)
-        self.gl_groups = {}     # n -> GL_n over this ring, see glk.gl_group
+        # tables that depend on this ring only, each built on first use
+        # and dropped with the ring: ("gl", n) by glk.gl_group,
+        # ("checks", top) by _coefficient_checks, ("annihilator", order)
+        # by _annihilator
+        self.derived = {}
 
     def _reduce_raw(self, v):
         return tuple(int(c) % d for c, d in zip(v, self.orders))
@@ -402,8 +406,12 @@ def _coefficient_checks(source, top):
 
     checks[m][s] lists the checks decided once coefficient s of generator
     m is assigned, as (i, j, e, terms of g_i g_j, (a, b) pairs).  The table
-    depends on the source ring and top only, so a caller running many
-    searches over one source may build it once and pass it in."""
+    depends on the source ring and top only, so it is built once and kept
+    in source.derived, shared by every hom enumeration and homotopy
+    search out of source."""
+    key = ("checks", top)
+    if key in source.derived:
+        return source.derived[key]
     # the (a, b) with a + b = e, both at most top
     convolutions = [tuple((a, e - a) for a in range(max(0, e - top),
                                                     min(e, top) + 1))
@@ -421,11 +429,22 @@ def _coefficient_checks(source, top):
             else:
                 checks[m][top if m in (i, j) else 0].append(
                     (i, j, e, (), pairs))
+    source.derived[key] = checks
     return checks
 
 
+def _annihilator(ring, order):
+    """The elements x of ring with order * x = 0, ascending; kept in
+    ring.derived."""
+    key = ("annihilator", order)
+    if key not in ring.derived:
+        ring.derived[key] = tuple(x for x in ring.elements()
+                                  if ring.is_zero(ring.scalar(order, x)))
+    return ring.derived[key]
+
+
 def _multiplicative_images(source, target, slots, budget, sums=None,
-                           tried=None, checks=None):
+                           tried=None):
     """Depth-first search over generator images in target[x], the image of
     generator i a coefficient tuple (c_{i,0}, ..., c_{i,D}); D = 0 for the
     images of plain homomorphisms.
@@ -448,8 +467,7 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
     its whole subtree.  tried[0] counts options: a pruned prefix adds the
     number of options it stands for, so the count is the one of trying
     every option in turn.  Raises BudgetExceeded before searching when
-    the product of the option counts exceeds budget.  checks, when given,
-    is the table _coefficient_checks(source, top) built by the caller.
+    the product of the option counts exceeds budget.
     """
     k = source.ngens
     total = 1
@@ -465,8 +483,7 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
 
     free = len(slots[0]) if k else 0      # the same for every generator
     top = free if sums is not None else free - 1
-    if checks is None:
-        checks = _coefficient_checks(source, top)
+    checks = _coefficient_checks(source, top)
 
     zero, add, mul, scalar = target.zero(), target.add, target.mul, target.scalar
     coeffs = [[None] * (top + 1) for _ in range(k)]
@@ -516,9 +533,7 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
 def enumerate_homs(source, target, budget=1_000_000):
     """All ring homomorphisms source -> target, in lexicographic order of
     generator image coordinates.  Both rings finite."""
-    candidates = [[[x for x in target.elements()
-                    if target.is_zero(target.scalar(d, x))]]
-                  for d in source.orders]
+    candidates = [[_annihilator(target, d)] for d in source.orders]
     return [RingHom(source, target, [c for (c,) in coeffs]) for coeffs in
             _multiplicative_images(source, target, candidates, budget)]
 

@@ -55,8 +55,11 @@ def _registered(registry, label):
 def ring_from_json(data):
     orders = _field(data, "orders", "ring")
     mul = _field(data, "mul", "ring")
+    label = data.get("label", "R")
+    if not isinstance(label, str):      # it keys the CLI's ring registry
+        raise MalformedInput("ring 'label' must be a string")
     return validate_ring(orders, mul, unit=data.get("unit") or None,
-                         label=data.get("label", "R"))
+                         label=label)
 
 
 def hom_to_json(hom):

@@ -285,12 +285,6 @@ class PuppeSequence:
             self.stages.append(mp)
             current = mp.g1
 
-    def maps(self):
-        """The sequence maps, outermost first: ..., g_2, g_1, g."""
-        out = [mp.g1 for mp in reversed(self.stages)]
-        out.append(self.g)
-        return out
-
     def verify(self, probes=25, rng=None):
         """j-composites vanish exactly, null homotopies for the projection
         composites re-verify, j lands in the kernel of the projection."""

@@ -271,6 +271,8 @@ def test_k0_unknown_object_exit_one_under_optimize(workdir):
      "generator orders must be integers"),
     ("check-ring", None, {"orders": [2], "mul": [[[1.9]]]},
      "structure constant entries must be integers"),
+    ("check-ring", None, {"label": [1], "orders": [2], "mul": [[[0]]]},
+     "ring 'label' must be a string"),
     ("factorize", "--hom",
      {"source": "sq0_z2", "target": "sq0_z2", "images": [[True]]},
      "hom image must be a list of integers"),
@@ -618,3 +620,45 @@ def test_each_ring_file_loads_once_on_a_miss(relative, capsys, monkeypatch,
     code, _ = run(capsys, argv)
     assert code == 0
     assert len(calls) == rings
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["check-ring", "sq0_z2.json"], 0),
+    (["kv1", "--ring", "z3_unital.json", "--size", "1", "--degree", "1"], 0),
+    (["homs", "--source", "sq0_z2.json", "--target", "z2_unital.json"], 0),
+    (["factorize", "--hom", "h.json"], 1),
+    (["homotopy", "--source", "z2_unital.json", "--target", "z2_unital.json",
+      "--f0", "id1.json", "--f1", "id1.json", "--degree", "1"], 1),
+    (["corpus", "--dir", "corpus_out"], 1),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_corpus_is_built_only_for_a_hom_file(relative, capsys, monkeypatch,
+                                            argv, builds):
+    dump_json(relative / "id1.json",
+              {"source": "z2_unital", "target": "z2_unital", "images": [[1]]})
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return corpus()
+    monkeypatch.setattr("hotring.cli.corpus", counting)
+    code, _ = run(capsys, argv)
+    assert code == 0
+    assert len(calls) == builds
+
+
+def test_ring_file_overrides_corpus_label(workdir, capsys):
+    """A ring file labelled z2_unital but with g^2 = 0 replaces the corpus
+    ring for the hom: g -> 1 into sq0_z2 is a homomorphism out of it, and
+    not out of the corpus Z/2."""
+    fake = dict(ring_to_json(RINGS["sq0_z2"]), label="z2_unital")
+    dump_json(workdir / "fake.json", fake)
+    dump_json(workdir / "g1.json",
+              {"source": "z2_unital", "target": "sq0_z2", "images": [[1]]})
+    code = main(["factorize", "--hom", str(workdir / "g1.json"),
+                 "--no-store"])
+    assert code == 1
+    assert "invalid homomorphism" in capsys.readouterr().err
+    code, out = run(capsys, ["factorize", "--hom", workdir / "g1.json",
+                             "--source", workdir / "fake.json", "--no-store"])
+    assert code == 0
+    assert json.loads(out)["payload"]["ok"]

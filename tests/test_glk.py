@@ -11,8 +11,9 @@ import pytest
 import hotring
 from hotring import (BadUnit, CircleGroup, PolyRing, QiMatrix,
                      VerificationFailure, circle, circle_determinant, corpus,
-                     determinant_certificate, gl_group, kv1_approx,
-                     quasi_inverse, stabilize, strict_pi0, validate_ring)
+                     determinant_certificate, enumerate_homs, gl_group,
+                     homotopy_classes, kv1_approx, quasi_inverse, stabilize,
+                     strict_pi0, validate_ring)
 from hotring.glk import (_poly_matrix, _quotient_invariants,
                          is_circle_witness, mat_zero)
 from hotring.poly import constant_of, evaluate
@@ -225,6 +226,11 @@ def test_gl_group_memo_lives_on_the_ring():
     g = gl_group(r, 2)
     assert gl_group(r, 2) is g
     assert gl_group(corpus()["sq0_z3"], 2) is not g
+    # a homotopy search leaves its check tables and annihilators on the
+    # ring too, and they must not keep it alive either
+    assert len(homotopy_classes(enumerate_homs(r, r), 2).classes()) == 1
+    assert set(r.derived) == {("gl", 2), ("checks", 0), ("checks", 1),
+                              ("annihilator", 3)}
     ref = weakref.ref(r)
     del r, g
     gc.collect()

@@ -292,10 +292,6 @@ def test_search_needs_maps_with_one_source_and_target():
     r, s = RINGS["sq0_z2"], RINGS["z2_unital"]
     with pytest.raises(HotringError, match="share source and target"):
         search_elementary(identity_hom(r), zero_hom(r, s), 1)
-    from hotring.homotopy import _SearchPlan
-    with pytest.raises(HotringError, match="plan is for another"):
-        search_up_to(identity_hom(r), zero_hom(r, r), 1,
-                     plan=_SearchPlan(r, s))
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +407,24 @@ def test_exact_check_matches_reference_on_edge_cases(build, failure):
     assert got[3] == failure
 
 
-def test_dropped_coefficient_checks_trip_the_post_check(monkeypatch):
+def test_dropped_coefficient_checks_trip_the_post_check():
     """The certificate a search returns is re-verified over R[x] without
     the search's coefficient checks, so a search that skips some of them
     fails loudly instead of returning an invalid certificate.  On Z/2 the
     only option for id ~ 0 at degree 1 is g -> 1 + x, which fails the
     checks of coefficients 1 and 2, both decided at the top slot; with
-    that slot's checks dropped the search accepts it."""
-    from hotring import VerificationFailure, homotopy
+    that slot's checks dropped from the table the search keeps on the
+    (freshly built) ring, the search accepts it."""
+    from hotring import VerificationFailure
     from hotring.rings import _coefficient_checks
 
-    f0, f1 = _id_zero("z2_unital")
+    r = corpus()["z2_unital"]
+    f0, f1 = identity_hom(r), zero_hom(r, r)
     assert isinstance(search_elementary(f0, f1, 1), NotFoundAtBound)
 
-    def without_top_slot(source, top):
-        checks = _coefficient_checks(source, top)
-        checks[0][top] = []
-        return checks
-
-    monkeypatch.setattr(homotopy, "_coefficient_checks", without_top_slot)
+    checks = _coefficient_checks(r, 1)
+    assert r.derived[("checks", 1)] is checks
+    checks[0][1] = []
     with pytest.raises(VerificationFailure) as exc:
         search_elementary(f0, f1, 1)
     assert exc.value.witness == ("multiplicative", (0, 0))

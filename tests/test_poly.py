@@ -61,6 +61,21 @@ def test_malformed_constructions_raise_typed_errors():
         PolyLike(PolyRing(r, ("x",)), ("y",), "nested")
 
 
+@pytest.mark.parametrize("build", [
+    lambda r: PolyRing(r, ("x", "x")),
+    lambda r: PolyRing(PolyRing(r, ("x",)), ("x",)),
+    lambda r: PathRing(PathRing(r, "x"), "x"),
+    lambda r: LoopRing(PathRing(r, "x"), "x"),
+    lambda r: PolyRing(LoopRing(r, "x"), ("y", "x")),
+], ids=["poly", "poly-over-poly", "path-over-path", "loop-over-path",
+        "poly-over-loop"])
+def test_repeated_variable_raises(build):
+    """Flattening R[x] over a ring that already uses x would identify the
+    two variables, so the ring is refused instead of computing wrongly."""
+    with pytest.raises(HotringError, match="repeated variable"):
+        build(RINGS["z3_unital"])
+
+
 def test_t_to_ty_homotopy_endpoints():
     # the reparametrization t -> t y of R[t]: at y=1 the identity, at y=0
     # the constant-term projection

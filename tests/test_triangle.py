@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from hotring import (DepthExceeded, FibrationFamily, HotringError,
-                     K0Diagram, LoopRing,
+from hotring import (DepthExceeded, FibrationFamily, FuncHom,
+                     HomotopyCertificate, HotringError, K0Diagram, LoopRing,
                      NotSurjective, PathRing, Poly, RingHom, check_axioms,
                      compose, corpus, enumerate_homs, factorize,
                      gl_fibration_flag, identity_hom, k0_presentation,
@@ -67,6 +67,71 @@ def test_factorize_all_corpus_endomorphism_homs():
             assert fac.verify(probes=20, rng=rng)["ok"], (label, hom.images)
             checked += 1
     assert checked >= 6
+
+
+def _path_factorization():
+    """factorize(id) on the path ring E(Z/3; t): an infinite source and
+    target, so verify runs on probes."""
+    b = PathRing(RINGS["z3_unital"], "t")
+    return b, factorize(identity_hom(b))
+
+
+def test_factorize_over_a_path_ring_verifies_on_probes():
+    _, fac = _path_factorization()
+    result = fac.verify(probes=20)
+    assert result["ok"], result
+    assert result["certificate"].mode == "probes"
+
+
+def test_factorize_refuses_a_variable_the_ring_already_uses():
+    b = PathRing(RINGS["z3_unital"], "x")
+    with pytest.raises(HotringError, match="repeated variable"):
+        factorize(identity_hom(b))
+
+
+def _tamper_p(b, fac):
+    fac.p = FuncHom(fac.middle, b, lambda pair: b.zero(), label="0")
+
+
+def _tamper_i(b, fac):
+    i = fac.i
+    fac.i = FuncHom(b, fac.middle, lambda a: (b.zero(), i.apply(a)[1]),
+                    label="a->(0,u(a))")
+
+
+def _tamper_section_constant(b, fac):
+    fac.section = FuncHom(b, fac.middle, lambda x: (b.zero(), x),
+                          label="b->(0,b)")
+
+
+def _tamper_section_doubled(b, fac):
+    section = fac.section
+    fac.section = FuncHom(b, fac.middle,
+                          lambda x: section.apply(b.scalar(2, x)),
+                          label="b->(0,2bx)")
+
+
+def _tamper_certificate(b, fac):
+    cert = fac.certificate
+    fac.certificate = HomotopyCertificate(cert.hom, cert.f1, cert.f0,
+                                          cert.var)
+
+
+@pytest.mark.parametrize("tamper, failures", [
+    (_tamper_p, {"p o i != u", "p(0, bx) != b"}),
+    (_tamper_i, {"pr1 o i != id"}),
+    (_tamper_section_constant, {"witness not in A'"}),
+    (_tamper_section_doubled, {"p(0, bx) != b"}),
+    (_tamper_certificate, {"splitting homotopy"}),
+], ids=["p", "i", "section-constant", "section-doubled", "certificate"])
+def test_factorize_probe_mode_reports_each_failure(tamper, failures):
+    b, fac = _path_factorization()
+    tamper(b, fac)
+    result = fac.verify(probes=5)
+    assert not result["ok"]
+    assert {f[0] for f in result["failures"]} == failures
+    assert result["certificate"].valid == ("splitting homotopy"
+                                           not in failures)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +253,22 @@ def test_axioms_missing_terminal_map_flagged():
     assert any("sq0_z2" in v for v in report["Ax1"]["violations"])
 
 
+@pytest.mark.parametrize("extra, marked, violation", [
+    ({}, [], "k o h not marked"),
+    ({"id2": identity_hom(RINGS["tower2"])}, ["kh"],
+     "isomorphism id2 not marked"),
+], ids=["composite", "isomorphism"])
+def test_axioms_unmarked_map_flagged(extra, marked, violation):
+    rings, homs = _tower_family()
+    homs.update(extra)
+    fam = FibrationFamily(rings, homs,
+                          fibration_names=["h", "k", "tower3->0", "tower2->0",
+                                           "sq0_z2->0"] + marked)
+    report = check_axioms(fam, probes=5)
+    assert report["Ax2"] == {"ok": False, "violations": [violation]}
+    assert not report["ok"]
+
+
 def test_marking_non_surjective_map_rejected_at_ingestion():
     rings, homs = _tower_family()
     homs["bad"] = zero_hom(RINGS["sq0_z2"], RINGS["tower2"])
@@ -277,8 +358,10 @@ def test_octahedron_degenerate_h_identity():
 
 
 def test_octahedron_requires_surjections():
-    with pytest.raises(NotSurjective):
+    with pytest.raises(NotSurjective, match="h is not surjective"):
         octahedron(zero_hom(RINGS["sq0_z2"], RINGS["tower2"]), K_TOWER)
+    with pytest.raises(NotSurjective, match="k is not surjective"):
+        octahedron(H_TOWER, zero_hom(RINGS["tower2"], RINGS["sq0_z2"]))
 
 
 def test_octahedron_requires_composable_maps():
