@@ -271,11 +271,11 @@ def test_k0_unknown_object_exit_one_under_optimize(workdir):
      "generator orders must be integers"),
     ("check-ring", None, {"orders": [2], "mul": [[[1.9]]]},
      "structure constant entries must be integers"),
-    ("check-ring", None, {"label": [1], "orders": [2], "mul": [[[0]]]},
-     "ring 'label' must be a string"),
     ("factorize", "--hom",
      {"source": "sq0_z2", "target": "sq0_z2", "images": [[True]]},
      "hom image must be a list of integers"),
+    ("check-ring", None, {"label": [1], "orders": [2], "mul": [[[0]]]},
+     "ring 'label' must be a string"),
 ])
 def test_malformed_json_is_an_error_record(workdir, capsys, command, flag,
                                            data, needle):
