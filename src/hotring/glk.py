@@ -37,7 +37,7 @@ import itertools
 
 from .errors import BadUnit, BudgetExceeded, VerificationFailure
 from .intlin import invariant_factors
-from .poly import Poly, PolyLike, PolyRing
+from .poly import Poly, PolyLike, PolyRing, scalar_base_of
 from .rings import FiniteRing, _UnionFind
 
 
@@ -111,10 +111,6 @@ class QiResult:
 # deciding quasi-invertibility
 
 
-def _scalar_base(ring):
-    return ring.scalar_base if isinstance(ring, PolyLike) else ring
-
-
 def _is_commutative(ring):
     for i in range(ring.ngens):
         for j in range(i + 1, ring.ngens):
@@ -150,7 +146,7 @@ def _minor(mat, i, j):
 def _adjugate(ring, mat):
     n = len(mat)
     if n == 1:
-        return ((ring.const(_scalar_base(ring).unit),),)
+        return ((ring.const(ring.scalar_base.unit),),)
     return tuple(tuple(ring.scalar((-1) ** (i + j),
                                    _det(ring, _minor(mat, j, i)))
                        for j in range(n)) for i in range(n))
@@ -158,7 +154,7 @@ def _adjugate(ring, mat):
 
 def _unit_matrix_shift(ring, m):
     """I + M over a ring that really has a unit element."""
-    unit = _scalar_base(ring).unit
+    unit = scalar_base_of(ring).unit
     if isinstance(ring, PolyLike):
         unit = ring.const(unit)
     return tuple(tuple(ring.add(e, unit) if i == j else e
@@ -566,9 +562,12 @@ def circle_determinant(ring, m):
 def determinant_certificate(pres):
     """Side certificate against over-collapse for commutative unital bases.
 
-    Every subgroup generator must have det(I+P(1)) = 1, so the true
-    quotient is at least as large as the determinant image; returns the
-    comparison data."""
+    A subgroup generator P(1) has det(I+P(1)) in 1 + N, N the nilradical
+    of A: det(I+P(t)) is a unit of A[t] equal to 1 at t = 0.  Only when
+    ``subgroup_in_kernel`` holds (always for reduced A) does the
+    determinant factor through the quotient, which is then at least as
+    large as the determinant image; otherwise ``lower_bound_matches``
+    bounds nothing.  Returns the comparison data."""
     ring = pres.group.ring
     if ring.unit is None or not _is_commutative(ring):
         raise BadUnit("determinant certificate needs a commutative ring "

@@ -11,9 +11,9 @@ negative beyond "not found at this bound".
 
 from __future__ import annotations
 
-from .errors import HotringError, VerificationFailure
-from .poly import (PolyLike, PolyRing, coefficient_map, constant_of,
-                   evaluate, imul, ivar, one_minus, slices, substitute,
+from .errors import HotringError, MembershipViolation, VerificationFailure
+from .poly import (PolyRing, coefficient_map, evaluate, imul, ivar, lift,
+                   lower, one_minus, scalar_base_of, slices, substitute,
                    substitution_hom)
 from .rings import (FuncHom, RingHom, _UnionFind, _all_pairs,
                     _annihilator, _first_nonmultiplicative,
@@ -44,9 +44,7 @@ def eval_endpoint(ring, value, var, bit):
     if isinstance(ring, PairRing) and isinstance(value, tuple):
         return (eval_endpoint(ring.left, value[0], var, bit),
                 eval_endpoint(ring.right, value[1], var, bit))
-    if isinstance(ring, PolyLike):
-        return evaluate(ring.scalar_base, value, var, bit)
-    return constant_of(ring, evaluate(ring, value, var, bit))
+    return lower(ring, evaluate(scalar_base_of(ring), value, var, bit))
 
 
 def element_slices(ring, value, var):
@@ -59,15 +57,10 @@ def element_slices(ring, value, var):
             return None
         return {e: (ls.get(e, ring.left.zero()), rs.get(e, ring.right.zero()))
                 for e in set(ls) | set(rs)}
-    if isinstance(ring, PolyLike):
-        return slices(value, var)
-    out = {}
-    for e, q in slices(value, var).items():
-        c = _scalar_slice(ring, q)
-        if c is None:
-            return None
-        out[e] = c
-    return out
+    try:
+        return {e: lower(ring, q) for e, q in slices(value, var).items()}
+    except MembershipViolation:
+        return None
 
 
 def slicewise_member(ring, value, var):
@@ -77,14 +70,6 @@ def slicewise_member(ring, value, var):
     if sl is None:
         return False
     return all(ring.contains(x) for x in sl.values())
-
-
-def _scalar_slice(ring, q):
-    if q is None or q.is_zero_poly():
-        return ring.zero()
-    if len(q.terms) == 1 and q.terms[0][0] == () and ring.contains(q.terms[0][1]):
-        return q.terms[0][1]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +223,7 @@ def flip_certificate(cert):
     def flip_value(v):
         if isinstance(ring, PairRing):
             raise NotImplementedError("flip on pair targets not needed")
-        sb = ring.scalar_base if isinstance(ring, PolyLike) else ring
-        return substitute(sb, v, sub)
+        return substitute(scalar_base_of(ring), v, sub)
 
     if isinstance(cert.hom, RingHom):
         h = RingHom(cert.hom.source, cert.hom.target,
@@ -272,17 +256,11 @@ def postcompose_certificate(h, cert):
 def constant_certificate(f, var="t"):
     ring = f.target
     carrier = carrier_ring(ring, var)
-
-    def embed(x):
-        if isinstance(ring, PolyLike):
-            return x
-        return carrier.const(x)
-
     if isinstance(f, RingHom):
-        h = RingHom(f.source, carrier, [embed(img) for img in f.images],
+        h = RingHom(f.source, carrier, [lift(ring, img) for img in f.images],
                     label="const")
     else:
-        h = FuncHom(f.source, carrier, lambda x: embed(f.apply(x)),
+        h = FuncHom(f.source, carrier, lambda x: lift(ring, f.apply(x)),
                     label="const")
     return HomotopyCertificate(h, f, f, var)
 

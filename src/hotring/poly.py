@@ -13,6 +13,11 @@ construction like the double loop ring of R is a set of polynomials in
 two variables over R cut out by endpoint conditions.  That keeps
 substitutions such as x -> 1-x or the x/y swap one-step operations.
 
+``lift`` and ``lower`` are the one place that decides how an element of a
+ring R sits inside R[x]: an element of a polynomial-shaped R already is a
+flat polynomial, and any other element becomes a constant polynomial.
+``scalar_base_of`` names the coefficient ring of that flat form.
+
 Affine expressions like 1 - x never live in a nonunital R[x]; they are
 integer polynomials (polys over the ZZ ring) and enter only through
 substitution and the integer action.
@@ -357,13 +362,33 @@ class PolyLike(Ring):
         return True
 
 
+def scalar_base_of(ring):
+    """The coefficient ring of R's flat representation."""
+    return ring.scalar_base if isinstance(ring, PolyLike) else ring
+
+
+def _vars_of(ring):
+    return ring.vars if isinstance(ring, PolyLike) else ()
+
+
+def lift(ring, x):
+    """An element x of R as an element of R[x] in the flat form."""
+    return x if isinstance(ring, PolyLike) else const_poly(ring, x)
+
+
+def lower(ring, q):
+    """The inverse of ``lift``, for q free of the adjoined variable;
+    MembershipViolation when R is not polynomial-shaped and q is not
+    a constant."""
+    return q if isinstance(ring, PolyLike) else constant_of(ring, q)
+
+
 class PolyRing(PolyLike):
     """The full polynomial ring scalar_base[vars]."""
 
     def __init__(self, scalar_base, vars, label=None):
-        if isinstance(scalar_base, PolyLike):
-            vars = tuple(scalar_base.vars) + tuple(vars)
-            scalar_base = scalar_base.scalar_base
+        vars = _vars_of(scalar_base) + tuple(vars)
+        scalar_base = scalar_base_of(scalar_base)
         super().__init__(scalar_base, vars,
                          label or f"{scalar_base.label}[{','.join(vars)}]")
 
@@ -382,28 +407,29 @@ class PolyRing(PolyLike):
 
 def _base_contains(base, q):
     """Is the slice polynomial q an element of the coefficient ring?"""
-    if isinstance(base, PolyLike):
-        return base.contains(q)
-    if q.is_zero_poly():
-        return True
-    return len(q.terms) == 1 and q.terms[0][0] == () and base.contains(q.terms[0][1])
+    try:
+        return base.contains(lower(base, q))
+    except MembershipViolation:
+        return False
 
 
-def _base_sample_poly(base, rng):
-    if isinstance(base, PolyLike):
-        return base.sample(rng)
-    return const_poly(base, base.sample(rng))
+class _Adjoined(PolyLike):
+    """Polynomials over ``base`` in one more variable ``var``, cut out by
+    conditions at the endpoints of ``var``."""
 
-
-class PathRing(PolyLike):
-    """ER: polynomials over R in a fresh variable with zero constant term."""
+    prefix = None
 
     def __init__(self, base, var="x", label=None):
         self.base = base
         self.var = var
-        scalar = base.scalar_base if isinstance(base, PolyLike) else base
-        vars = (tuple(base.vars) if isinstance(base, PolyLike) else ()) + (var,)
-        super().__init__(scalar, vars, label or f"E({base.label};{var})")
+        super().__init__(scalar_base_of(base), _vars_of(base) + (var,),
+                         label or f"{self.prefix}({base.label};{var})")
+
+
+class PathRing(_Adjoined):
+    """ER: polynomials over R in a fresh variable with zero constant term."""
+
+    prefix = "E"
 
     def contains(self, p):
         if not (isinstance(p, Poly) and self._coeffs_ok(p)):
@@ -418,21 +444,16 @@ class PathRing(PolyLike):
     def sample(self, rng):
         acc = self.zero()
         for k in (1, 2):
-            acc = self.add(acc, shift_poly(self.scalar_base,
-                                           _base_sample_poly(self.base, rng),
-                                           self.var, k))
+            acc = self.add(acc, shift_poly(
+                self.scalar_base, lift(self.base, self.base.sample(rng)),
+                self.var, k))
         return acc
 
 
-class LoopRing(PolyLike):
+class LoopRing(_Adjoined):
     """Omega R: kernel of both endpoint evaluations, equal to (x^2-x)R[x]."""
 
-    def __init__(self, base, var="x", label=None):
-        self.base = base
-        self.var = var
-        scalar = base.scalar_base if isinstance(base, PolyLike) else base
-        vars = (tuple(base.vars) if isinstance(base, PolyLike) else ()) + (var,)
-        super().__init__(scalar, vars, label or f"Omega({base.label};{var})")
+    prefix = "Omega"
 
     def contains(self, p):
         if not (isinstance(p, Poly) and self._coeffs_ok(p)):
@@ -474,7 +495,7 @@ class LoopRing(PolyLike):
         return acc
 
     def sample(self, rng):
-        return self.from_factor(_base_sample_poly(self.base, rng))
+        return self.from_factor(lift(self.base, self.base.sample(rng)))
 
 
 def double_loop_ring(base, inner="x", outer="y"):
@@ -486,15 +507,12 @@ def coefficient_map(hom, source, target, label=None):
     sb = target.scalar_base
 
     def fn(p):
-        acc = Poly()
+        acc = {}
         for mono, c in p.terms:
-            img = hom.apply(c)
-            if isinstance(img, Poly):
-                acc = poly_add(sb, acc, Poly(tuple(
-                    (_mono_mul(mono, m2), c2) for m2, c2 in img.terms)))
-            elif not sb.is_zero(img):
-                acc = poly_add(sb, acc, Poly(((mono, img),)))
-        return acc
+            for m2, c2 in lift(hom.target, hom.apply(c)).terms:
+                m = _mono_mul(mono, m2)
+                acc[m] = sb.add(acc[m], c2) if m in acc else c2
+        return _canon(sb, acc)
 
     return FuncHom(source, target, fn, label or f"{hom.label}[...]")
 

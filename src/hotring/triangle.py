@@ -17,9 +17,10 @@ from .errors import (DepthExceeded, HotringError, MalformedInput,
                      NotSurjective, VerificationFailure)
 from .homotopy import (HomotopyCertificate, carrier_ring, eval_endpoint,
                        verify_certificate)
-from .poly import (LoopRing, PathRing, Poly, PolyLike, PolyRing,
-                   coefficient_map, imul, isub, ivar, one_minus, sigma_hom,
-                   substitute, substitution_hom)
+from .poly import (LoopRing, PathRing, Poly, PolyRing, coefficient_map, imul,
+                   isub, ivar, lift, lower, one_minus, scalar_base_of,
+                   shift_poly, sigma_hom, slices, substitute,
+                   substitution_hom)
 from .rings import (FiniteRing, FuncHom, QuotientPresentation, RingHom,
                     compose, identity_hom, is_surjective, kernel_subring,
                     pullback, validate_ring, zero_hom)
@@ -138,9 +139,6 @@ class Factorization:
         right = carrier_ring(b_ring, var)
         self.right = right
 
-        def embed_b(b):
-            return right.const(b) if not isinstance(b_ring, PolyLike) else b
-
         def predicate(pair):
             a, q = pair
             from .homotopy import slicewise_member
@@ -151,12 +149,12 @@ class Factorization:
         def sampler(rng):
             a = a_ring.sample(rng)
             tail = PathRing(b_ring, var).sample(rng)
-            return (a, right.add(embed_b(u.apply(a)), tail))
+            return (a, right.add(lift(b_ring, u.apply(a)), tail))
 
         self.middle = PairRing(a_ring, right, predicate=predicate,
                                sampler=sampler, label=f"{a_ring.label}'")
         self.i = FuncHom(a_ring, self.middle,
-                         lambda a: (a, embed_b(u.apply(a))), label="i")
+                         lambda a: (a, lift(b_ring, u.apply(a))), label="i")
         self.iota1 = self.middle.second()
         self.iota2 = self.middle.first()
         self.p = FuncHom(self.middle, b_ring,
@@ -164,9 +162,8 @@ class Factorization:
                          label="p")
         self.section = FuncHom(
             b_ring, self.middle,
-            lambda b: (a_ring.zero(),
-                       Poly(tuple((_mono_shift(mn, var), c)
-                                  for mn, c in embed_b(b).terms))),
+            lambda b: (a_ring.zero(), shift_poly(right.scalar_base,
+                                                 lift(b_ring, b), var, 1)),
             label="b->(0,bx)")
 
         hvar = homotopy_var
@@ -176,9 +173,7 @@ class Factorization:
         def homotopy(pair):
             a, q = pair
             moved = substitute(sb, q, {var: imul(ivar(var), ivar(hvar))})
-            a_lift = a if isinstance(a_ring, PolyLike) else \
-                carrier_ring(a_ring, hvar).const(a)
-            return (a_lift, moved)
+            return (lift(a_ring, a), moved)
 
         self.certificate = HomotopyCertificate(
             FuncHom(self.middle, hcarrier, homotopy, label="(a,q)->(a,q(xy))"),
@@ -215,12 +210,6 @@ class Factorization:
                 "certificate": cert_report}
 
 
-def _mono_shift(mono, var):
-    d = dict(mono)
-    d[var] = d.get(var, 0) + 1
-    return tuple(sorted(d.items()))
-
-
 def factorize(u, var="x", homotopy_var="y"):
     return Factorization(u, var=var, homotopy_var=homotopy_var)
 
@@ -249,14 +238,9 @@ class MappingPath:
     def null_homotopy(self, svar="s"):
         """The composite g o g1 : P(g) -> C is null through (b, p) -> p(s)."""
         c_ring = self.g.target
-        if isinstance(c_ring, PolyLike):
-            carrier = carrier_ring(c_ring, svar)
-            sb = carrier.scalar_base
-        else:
-            # covers finite and pair-ring targets: polynomials in svar
-            # whose coefficients are c_ring elements
-            carrier = PolyRing(c_ring, (svar,))
-            sb = c_ring
+        # polynomials in svar over C, pair-ring targets included
+        carrier = PolyRing(c_ring, (svar,), label=f"{c_ring.label}[{svar}]")
+        sb = carrier.scalar_base
 
         def h(pair):
             return substitute(sb, pair[1], {self.var: ivar(svar)})
@@ -531,22 +515,14 @@ def omega_hom(g, source_loop, target_loop):
     flat representation a slice of a nested loop ring is itself a
     polynomial, so this recurses naturally through g.
     """
-    from .poly import constant_of as _const
-    from .poly import shift_poly, slices as _slices
-
-    src_base = source_loop.base
-    src_poly = isinstance(src_base, PolyLike)
-    tgt_base = target_loop.base
-    tgt_poly = isinstance(tgt_base, PolyLike)
+    src_base, tgt_base = source_loop.base, target_loop.base
     sb_t = target_loop.scalar_base
 
     def fn(p):
         out = target_loop.zero()
-        for e, q in _slices(p, source_loop.var).items():
-            arg = q if src_poly else _const(source_loop.scalar_base, q)
-            img = g.apply(arg)
-            wrapped = img if tgt_poly else target_loop.const(img)
-            out = target_loop.add(out, shift_poly(sb_t, wrapped,
+        for e, q in slices(p, source_loop.var).items():
+            img = lift(tgt_base, g.apply(lower(src_base, q)))
+            out = target_loop.add(out, shift_poly(sb_t, img,
                                                   target_loop.var, e))
         return out
 
@@ -594,7 +570,7 @@ def rotation_witness(g, var_c="x1", var_b="x2", hvar="y"):
     loops_b = LoopRing(b_ring, "x")
     p_carrier = carrier_ring(mp1.ring, hvar)
     sb_b = loops_b.scalar_base
-    sb_c = c_ring.scalar_base if isinstance(c_ring, PolyLike) else c_ring
+    sb_c = scalar_base_of(c_ring)
 
     gen_map = coefficient_map(
         g, PolyRing(sb_b, ("x",)), PolyRing(sb_c, ("x",)), label="g[..]")

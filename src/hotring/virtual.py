@@ -10,8 +10,8 @@ ring objects.
 from __future__ import annotations
 
 from .rings import FuncHom, Ring, RingHom, FiniteRing
-from .poly import (LoopRing, PathRing, Poly, PolyRing, const_poly,
-                   constant_of, evaluate, monomial)
+from .poly import (LoopRing, PathRing, PolyRing, evaluate, lift, lower,
+                   poly_add, poly_sub, shift_poly)
 
 
 class PairRing(Ring):
@@ -134,11 +134,9 @@ class OmegaTildeRing(PairRing):
 
         def sampler(rng):
             f = PathRing(base, var).sample(rng)
-            c = constant_of(sb, evaluate(sb, f, var, 1))
-            g = const_poly(sb, c)
-            g = fring.add(g, monomial(sb, sb.neg(c), ((var, 1),)))
-            g = fring.add(g, LoopRing(base, var).sample(rng))
-            return (f, g)
+            f1 = evaluate(sb, f, var, 1)
+            g = poly_sub(sb, f1, shift_poly(sb, f1, var, 1))
+            return (f, poly_add(sb, g, LoopRing(base, var).sample(rng)))
 
         super().__init__(fring, fring, predicate=predicate, sampler=sampler,
                          label=label or f"OmegaTilde({base.label})")
@@ -168,28 +166,17 @@ def omega_pair_hom(loop, tilde):
 
 def mapping_path_ring(g, var, label=None):
     """P(g) = {(b, p) : p(0) = 0, p(1) = g(b)} for g : B -> C."""
-    from .poly import PolyLike, shift_poly
-
     b_ring, c_ring = g.source, g.target
     paths = PathRing(c_ring, var)
     sb = paths.scalar_base
 
-    def value_at_one(p):
-        q = evaluate(sb, p, var, 1)
-        if isinstance(c_ring, PolyLike):
-            return q
-        return constant_of(sb, q)
-
     def predicate(pair):
         b, p = pair
-        return value_at_one(p) == g.apply(b)
+        return lower(c_ring, evaluate(sb, p, var, 1)) == g.apply(b)
 
     def sampler(rng):
         b = b_ring.sample(rng)
-        gb = g.apply(b)
-        if not isinstance(gb, Poly):
-            gb = const_poly(sb, gb)
-        p = shift_poly(sb, gb, var, 1)
+        p = shift_poly(sb, lift(c_ring, g.apply(b)), var, 1)
         loop_part = LoopRing(c_ring, var).sample(rng)
         return (b, paths.add(p, loop_part))
 

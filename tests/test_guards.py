@@ -49,6 +49,48 @@ def test_no_assert_in_polynomial_modules():
     assert offenders == []
 
 
+# The only functions outside poly.py that may ask whether a ring is
+# polynomial-shaped.  Everything else goes through poly.lift, poly.lower
+# and poly.scalar_base_of, which decide how a ring sits inside R[x].
+POLYLIKE_SITES = {"glk.quasi_inverse", "glk._unit_matrix_shift",
+                  "simplicial.check_contraction_compatibility"}
+
+
+def _is_polylike_check(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) \
+        else [node.args[1]]
+    return any((isinstance(k, ast.Name) and k.id == "PolyLike")
+               or (isinstance(k, ast.Attribute) and k.attr == "PolyLike")
+               for k in kinds)
+
+
+def _polylike_sites(node, scope):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif _is_polylike_check(child):
+            yield f"{scope}:{child.lineno}"
+        yield from _polylike_sites(child, inner)
+
+
+def test_polylike_dispatch_stays_in_poly():
+    """How an element of R sits inside R[x] is decided in poly.py only;
+    isinstance(..., PolyLike) elsewhere is limited to the strategy
+    dispatch of glk and the R[x] base of the simplicial contraction."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += list(_polylike_sites(tree, path.stem))
+    assert [s for s in sites if s.split(":")[0] not in POLYLIKE_SITES] == []
+
+
 # every option of a CLI command that is a parameter, not a file
 CLI_PARAMETERS = {"help", "budget", "seed", "probes", "out", "json",
                   "no_store", "degree", "size", "length", "depth_cap",

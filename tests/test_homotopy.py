@@ -216,6 +216,42 @@ def test_constant_certificate_helper():
     assert verify_certificate(cert).valid
 
 
+def test_flip_of_a_path_contraction_verifies_on_probes():
+    # the contraction p(x) -> p(xy) is a FuncHom, so endpoint and flip run
+    # their FuncHom branches over a polynomial-shaped target
+    rng = random.Random(5)
+    paths = PathRing(RINGS["z3_unital"], "x")
+    cert = path_contraction_certificate(paths, "y")
+    flipped = flip_certificate(cert)
+    report = verify_certificate(flipped, probes=30, rng=rng)
+    assert report.valid and report.mode == "probes"
+    d0, d1 = cert.endpoint(0), cert.endpoint(1)
+    assert isinstance(d0, FuncHom) and isinstance(d1, FuncHom)
+    for _ in range(30):
+        p = paths.sample(rng)
+        assert d0.apply(p) == paths.zero()
+        assert d1.apply(p) == p
+        assert flipped.endpoint(0).apply(p) == p
+        assert flipped.endpoint(1).apply(p) == paths.zero()
+
+
+def test_constant_certificate_of_func_homs():
+    rng = random.Random(6)
+    paths = PathRing(RINGS["z3_unital"], "x")
+    report = verify_certificate(constant_certificate(identity_hom(paths)),
+                                probes=30, rng=rng)
+    assert report.valid and report.mode == "probes"
+    r = RINGS["two_z8"]
+    for h in enumerate_homs(r, r):
+        f = FuncHom(r, r, h.apply, label=h.label)
+        cert = constant_certificate(f)
+        report = verify_certificate(cert, probes=20, rng=rng)
+        assert report.valid and report.mode == "probes"
+        for a in r.elements():
+            assert cert.endpoint(0).apply(a) == cert.endpoint(1).apply(a) \
+                == h.apply(a)
+
+
 def test_search_up_to_prefers_lowest_degree():
     r = RINGS["sq0_z2"]
     cert = search_up_to(identity_hom(r), identity_hom(r), 2)

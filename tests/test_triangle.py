@@ -4,8 +4,8 @@ import pytest
 
 from hotring import (DepthExceeded, FibrationFamily, FuncHom,
                      HomotopyCertificate, HotringError, K0Diagram, LoopRing,
-                     NotSurjective, PathRing, Poly, RingHom, check_axioms,
-                     compose, corpus, enumerate_homs, factorize,
+                     NotSurjective, PathRing, Poly, PolyRing, RingHom,
+                     check_axioms, compose, corpus, enumerate_homs, factorize,
                      gl_fibration_flag, identity_hom, k0_presentation,
                      mapping_path, octahedron, puppe, rotate,
                      rotation_witness, standard_triangle, tower_homs,
@@ -87,6 +87,22 @@ def test_factorize_refuses_a_variable_the_ring_already_uses():
     b = PathRing(RINGS["z3_unital"], "x")
     with pytest.raises(HotringError, match="repeated variable"):
         factorize(identity_hom(b))
+
+
+def test_factorize_section_is_canonical_over_a_polynomial_target():
+    # the target's variable "a" sorts before the adjoined "x", so b -> bx
+    # must re-sort the terms of b to stay a canonical polynomial
+    r = RINGS["z3_unital"]
+    b = PolyRing(r, ("a",))
+    fac = factorize(zero_hom(r, b))
+    x = fac.right.monomial(r.unit, (("x", 1),))
+    for q in (b.add(b.const((1,)), b.monomial((2,), (("a", 1),))),
+              b.monomial((1,), (("a", 2),)), b.zero()):
+        w = fac.section.apply(q)
+        assert w == (r.zero(), fac.right.mul(q, x))
+        assert list(w[1].terms) == sorted(w[1].terms)
+        assert fac.middle.contains(w) and fac.p.apply(w) == q
+    assert fac.verify(probes=10)["ok"]
 
 
 def _tamper_p(b, fac):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from hotring import (LoopRing, PairRing, alpha_hom, beta_hom, corpus,
-                     mapping_path_ring, omega_pair_hom, omega_tilde,
+from hotring import (LoopRing, PairRing, PathRing, alpha_hom, beta_hom,
+                     corpus, mapping_path_ring, omega_pair_hom, omega_tilde,
                      tower_homs, zero_hom)
 from hotring.poly import Poly, monomial
 
@@ -34,6 +34,20 @@ def test_omega_tilde_sampler_and_ops():
             assert tilde.contains(tilde.mul(u, v))
             assert tilde.contains(tilde.neg(u))
             assert tilde.contains(tilde.scalar(3, u))
+
+
+@pytest.mark.parametrize("polynomial_base", [False, True],
+                         ids=["finite", "path-ring"])
+def test_omega_tilde_samples_are_members(polynomial_base):
+    # the sampler reads f(1) in the flat form, so a base whose elements
+    # are themselves polynomials (here E(z3_unital; a)) samples too
+    base = RINGS["z3_unital"]
+    if polynomial_base:
+        base = PathRing(base, "a")
+    tilde = omega_tilde(base, "x")
+    rng = random.Random(3)
+    for _ in range(50):
+        assert tilde.contains(tilde.sample(rng))
 
 
 @pytest.mark.parametrize("label", ["sq0_z2", "two_z8", "z3_unital"])
