@@ -12,8 +12,8 @@ negative beyond "not found at this bound".
 from __future__ import annotations
 
 from .errors import HotringError, MembershipViolation, VerificationFailure
-from .poly import (PolyRing, coefficient_map, evaluate, imul, ivar, lift,
-                   lower, one_minus, scalar_base_of, slices, substitute,
+from .poly import (PolyRing, coefficient_map, evaluate, fresh_var, imul, ivar,
+                   lift, lower, one_minus, scalar_base_of, slices, substitute,
                    substitution_hom)
 from .rings import (FuncHom, RingHom, _UnionFind, _all_pairs,
                     _annihilator, _first_nonmultiplicative,
@@ -253,8 +253,9 @@ def postcompose_certificate(h, cert):
                                cert.var)
 
 
-def constant_certificate(f, var="t"):
+def constant_certificate(f):
     ring = f.target
+    var = fresh_var("t", ring)
     carrier = carrier_ring(ring, var)
     if isinstance(f, RingHom):
         h = RingHom(f.source, carrier, [lift(ring, img) for img in f.images],
@@ -491,9 +492,10 @@ def search_homotopy_equivalence(f, candidates, degree, budget=200_000,
 # stock certificates
 
 
-def path_contraction_certificate(paths, yvar="y"):
+def path_contraction_certificate(paths):
     """id ~ 0 on ER via p(x) -> p(xy); witnesses contractibility of ER."""
     var = paths.var
+    yvar = fresh_var("y", paths)
     h = substitution_hom(paths, carrier_ring(paths, yvar),
                          {var: imul(ivar(var), ivar(yvar))},
                          label="E-contraction")
@@ -501,18 +503,18 @@ def path_contraction_certificate(paths, yvar="y"):
                                identity_hom(paths), yvar)
 
 
-def graded_certificate(ring, degrees, tvar="t"):
-    """For an N-graded ring: homogeneous a_n -> a_n t^n connects the
-    projection onto degree 0 with the identity."""
-    carrier = carrier_ring(ring, tvar)
+def graded_certificate(ring, degrees):
+    """For an N-graded finite ring: homogeneous a_n -> a_n t^n connects
+    the projection onto degree 0 with the identity."""
+    carrier = carrier_ring(ring, "t")
     images = []
     f0_images = []
     for i in range(ring.ngens):
         n = degrees[i]
         g = ring.gen(i)
-        images.append(carrier.monomial(g, ((tvar, n),)) if n
+        images.append(carrier.monomial(g, (("t", n),)) if n
                       else carrier.const(g))
         f0_images.append(g if n == 0 else ring.zero())
     h = RingHom(ring, carrier, images, label="graded")
     f0 = RingHom(ring, ring, f0_images, label="proj0")
-    return HomotopyCertificate(h, f0, identity_hom(ring), tvar)
+    return HomotopyCertificate(h, f0, identity_hom(ring), "t")

@@ -16,7 +16,9 @@ substitutions such as x -> 1-x or the x/y swap one-step operations.
 ``lift`` and ``lower`` are the one place that decides how an element of a
 ring R sits inside R[x]: an element of a polynomial-shaped R already is a
 flat polynomial, and any other element becomes a constant polynomial.
-``scalar_base_of`` names the coefficient ring of that flat form.
+``scalar_base_of`` names the coefficient ring of that flat form, and
+``fresh_var`` is the one place that decides which x a construction
+adjoins: a name no ring involved already uses.
 
 Affine expressions like 1 - x never live in a nonunital R[x]; they are
 integer polynomials (polys over the ZZ ring) and enter only through
@@ -371,6 +373,24 @@ def _vars_of(ring):
     return ring.vars if isinstance(ring, PolyLike) else ()
 
 
+def fresh_var(name, *rings):
+    """The variable a construction adjoins to the given rings: ``name``
+    when none of them uses it, else the first unused of stem1, stem2, ...,
+    where the stem is ``name`` without its trailing digits."""
+    from .virtual import PairRing
+    used, rings = set(), list(rings)
+    while rings:
+        ring = rings.pop()
+        if isinstance(ring, PairRing):      # carrier_ring splits pairs
+            rings += [ring.left, ring.right]
+        else:
+            used.update(_vars_of(ring))
+    stem, k = name.rstrip("0123456789"), 1
+    while name in used:
+        name, k = f"{stem}{k}", k + 1
+    return name
+
+
 def lift(ring, x):
     """An element x of R as an element of R[x] in the flat form."""
     return x if isinstance(ring, PolyLike) else const_poly(ring, x)
@@ -503,14 +523,23 @@ def double_loop_ring(base, inner="x", outer="y"):
 
 
 def coefficient_map(hom, source, target, label=None):
-    """Extend a hom of coefficient rings to polynomials, variable-wise."""
+    """Extend a hom of coefficient rings to polynomials over them: the
+    terms of p are grouped by their monomial in the variables hom.source
+    does not use, and each group is lowered, mapped and lifted back."""
     sb = target.scalar_base
+    own = set(_vars_of(hom.source))
 
     def fn(p):
-        acc = {}
+        groups = {}
         for mono, c in p.terms:
-            for m2, c2 in lift(hom.target, hom.apply(c)).terms:
-                m = _mono_mul(mono, m2)
+            outer = tuple((v, e) for v, e in mono if v not in own)
+            inner = tuple((v, e) for v, e in mono if v in own)
+            groups.setdefault(outer, []).append((inner, c))
+        acc = {}
+        for outer, terms in groups.items():
+            q = lower(hom.source, Poly(sorted(terms)))
+            for m2, c2 in lift(hom.target, hom.apply(q)).terms:
+                m = _mono_mul(outer, m2)
                 acc[m] = sb.add(acc[m], c2) if m in acc else c2
         return _canon(sb, acc)
 
@@ -547,13 +576,13 @@ def tau_hom(loop2):
                             label="tau")
 
 
-def swap_homotopy(loop2, tvar="t"):
+def swap_homotopy(loop2):
     """The explicit interpolation between the x/y swap and the identity.
 
     f = (x^2-x)(y^2-y) f'(x, y) is sent to
-    (x^2-x)(y^2-y) f'(tx + (1-t)y, (1-t)x + ty).
+    (x^2-x)(y^2-y) f'(tx + (1-t)y, (1-t)x + ty), t = fresh_var("t", loop2).
 
-    Evaluation at ``tvar`` = 0 gives the swap, at 1 the identity, and the
+    Evaluation at t = 0 gives the swap, at 1 the identity, and the
     map is additive with every value a member of the double loop ring over
     base[t].  It is multiplicative only when products of base coefficients
     vanish (square-zero style bases); see the test suite for the exact
@@ -563,6 +592,7 @@ def swap_homotopy(loop2, tvar="t"):
     y = loop2.var
     inner = loop2.base
     sb = loop2.scalar_base
+    tvar = fresh_var("t", loop2)
     target = PolyRing(sb, loop2.vars + (tvar,))
     unit = imul(loop_unit_ipoly(x), loop_unit_ipoly(y))
     mix = _Substitution({

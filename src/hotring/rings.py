@@ -541,6 +541,9 @@ def enumerate_homs(source, target, budget=1_000_000):
 def is_surjective(hom):
     """Surjectivity for a RingHom with finite source and target: the image
     is the additive span of the generator images."""
+    if not (isinstance(hom, RingHom) and isinstance(hom.target, FiniteRing)):
+        raise HotringError(f"{hom.label or 'a hom'} ({hom.source.label} -> "
+                           f"{hom.target.label}): surjectivity needs finite rings")
     img = additive_closure(hom.target, list(hom.images))
     return len(img) == hom.target.size()
 

@@ -20,17 +20,16 @@ from .poly import (PolyLike, PolyRing, iadd, iconst, imul, isub, ivar,
 class SimplexRing:
     """R[Delta^n] together with its face and degeneracy maps."""
 
-    def __init__(self, base, level, prefix="t"):
+    def __init__(self, base, level):
         if level < 0:
             raise IndexOutOfRange(f"simplex level {level}")
         self.base = base
         self.level = level
-        self.prefix = prefix
-        self.ring = PolyRing(base, tuple(f"{prefix}{i}" for i in range(1, level + 1)),
+        self.ring = PolyRing(base, tuple(f"t{i}" for i in range(1, level + 1)),
                              label=f"{base.label}[Delta^{level}]")
 
     def tvar(self, i):
-        return f"{self.prefix}{i}"
+        return f"t{i}"
 
     def _t0_expr(self, level):
         # the eliminated coordinate at the given level
@@ -44,7 +43,7 @@ class SimplexRing:
         n = self.level
         if not (0 <= i <= n) or n == 0:
             raise IndexOutOfRange(f"face {i} at level {n}")
-        lower = SimplexRing(self.base, n - 1, self.prefix)
+        lower = SimplexRing(self.base, n - 1)
         assignment = {}
         for j in range(1, n + 1):
             if j < i:
@@ -64,7 +63,7 @@ class SimplexRing:
         n = self.level
         if not (0 <= i <= n):
             raise IndexOutOfRange(f"degeneracy {i} at level {n}")
-        upper = SimplexRing(self.base, n + 1, self.prefix)
+        upper = SimplexRing(self.base, n + 1)
         assignment = {}
         for j in range(1, n + 1):
             if j < i:
@@ -134,7 +133,7 @@ def simplicial_identity_cases(max_level):
     return cases
 
 
-def identity_pair(base, case, prefix="t"):
+def identity_pair(base, case):
     """The two composite maps asserted equal by a simplicial identity.
 
     Both are maps out of the level recorded in the case; returns
@@ -142,21 +141,21 @@ def identity_pair(base, case, prefix="t"):
     """
     family, n, i, j = case
     if family == "dd":
-        top = SimplexRing(base, n, prefix)
-        mid = SimplexRing(base, n - 1, prefix)
+        top = SimplexRing(base, n)
+        mid = SimplexRing(base, n - 1)
         lhs = _comp(mid.face(i), top.face(j))
         rhs = _comp(mid.face(j - 1), top.face(i))
         return top, lhs, rhs
     if family == "ss":
-        lower = SimplexRing(base, n, prefix)
-        mid = SimplexRing(base, n + 1, prefix)
+        lower = SimplexRing(base, n)
+        mid = SimplexRing(base, n + 1)
         lhs = _comp(mid.degeneracy(i), lower.degeneracy(j))
         rhs = _comp(mid.degeneracy(j + 1), lower.degeneracy(i))
         return lower, lhs, rhs
-    lower = SimplexRing(base, n, prefix)
-    mid = SimplexRing(base, n + 1, prefix)
+    lower = SimplexRing(base, n)
+    mid = SimplexRing(base, n + 1)
     if family == "ds_lt":
-        below = SimplexRing(base, n - 1, prefix)
+        below = SimplexRing(base, n - 1)
         lhs = _comp(mid.face(i), lower.degeneracy(j))
         rhs = _comp(below.degeneracy(j - 1), lower.face(i))
         return lower, lhs, rhs
@@ -165,7 +164,7 @@ def identity_pair(base, case, prefix="t"):
         rhs = lambda p: p
         return lower, lhs, rhs
     if family == "ds_gt":
-        below = SimplexRing(base, n - 1, prefix)
+        below = SimplexRing(base, n - 1)
         lhs = _comp(mid.face(i), lower.degeneracy(j))
         rhs = _comp(below.degeneracy(j), lower.face(i - 1))
         return lower, lhs, rhs
@@ -176,8 +175,7 @@ def _comp(outer, inner):
     return lambda p: outer.apply(inner.apply(p))
 
 
-def check_simplicial_identities(base, max_level, probes_per_family, rng,
-                                prefix="t"):
+def check_simplicial_identities(base, max_level, probes_per_family, rng):
     """Probe every identity instance, spending probes_per_family random
     elements on each of the five families; returns (checks_run, failures).
     The two unit identities d_j s_j = id = d_{j+1} s_j count as one family.
@@ -189,7 +187,7 @@ def check_simplicial_identities(base, max_level, probes_per_family, rng,
     failures = []
     checks = 0
     for family, cases in sorted(by_family.items()):
-        built = [(case, identity_pair(base, case, prefix)) for case in cases]
+        built = [(case, identity_pair(base, case)) for case in cases]
         per_case = max(1, probes_per_family // len(cases))
         for case, (level, lhs, rhs) in built:
             for _ in range(per_case):
@@ -200,8 +198,7 @@ def check_simplicial_identities(base, max_level, probes_per_family, rng,
     return checks, failures
 
 
-def check_contraction_compatibility(base, xvar, max_level, probes, rng,
-                                    prefix="t"):
+def check_contraction_compatibility(base, xvar, max_level, probes, rng):
     """Probe compatibility of the contraction maps with faces/degeneracies,
     [w* of h] = [h of the transported vertex] after w*, plus the vertex
     endpoints; returns (checks_run, failures)."""
@@ -209,12 +206,12 @@ def check_contraction_compatibility(base, xvar, max_level, probes, rng,
     checks = 0
     poly_base = PolyRing(base, (xvar,)) if not isinstance(base, PolyLike) else base
     for n in range(0, max_level + 1):
-        top = SimplexRing(poly_base, n, prefix)
+        top = SimplexRing(poly_base, n)
         for i in range(-1, n + 1):
             h_top = contraction_map(top, xvar, i)
             for j in range(0, n + 1):
                 if n >= 1:
-                    lower = SimplexRing(poly_base, n - 1, prefix)
+                    lower = SimplexRing(poly_base, n - 1)
                     hv = contraction_map(lower, xvar, delta1_face_index(i, j))
                     d = top.face(j)
                     for _ in range(probes):
@@ -222,7 +219,7 @@ def check_contraction_compatibility(base, xvar, max_level, probes, rng,
                         checks += 1
                         if d.apply(h_top.apply(p)) != hv.apply(d.apply(p)):
                             failures.append(("face", n, i, j, p))
-                upper = SimplexRing(poly_base, n + 1, prefix)
+                upper = SimplexRing(poly_base, n + 1)
                 hv = contraction_map(upper, xvar, delta1_degeneracy_index(i, j))
                 s = top.degeneracy(j)
                 for _ in range(probes):

@@ -17,10 +17,9 @@ from .errors import (DepthExceeded, HotringError, MalformedInput,
                      NotSurjective, VerificationFailure)
 from .homotopy import (HomotopyCertificate, carrier_ring, eval_endpoint,
                        verify_certificate)
-from .poly import (LoopRing, PathRing, Poly, PolyRing, coefficient_map, imul,
-                   isub, ivar, lift, lower, one_minus, scalar_base_of,
-                   shift_poly, sigma_hom, slices, substitute,
-                   substitution_hom)
+from .poly import (LoopRing, PathRing, Poly, PolyRing, coefficient_map,
+                   fresh_var, iconst, imul, isub, ivar, lift, one_minus,
+                   scalar_base_of, shift_poly, sigma_hom, substitute)
 from .rings import (FiniteRing, FuncHom, QuotientPresentation, RingHom,
                     compose, identity_hom, is_surjective, kernel_subring,
                     pullback, validate_ring, zero_hom)
@@ -132,10 +131,10 @@ class Factorization:
     p(a, q) = q(1) is surjective with explicit preimages b -> (0, bx).
     """
 
-    def __init__(self, u, var="x", homotopy_var="y"):
+    def __init__(self, u):
         self.u = u
-        self.var = var
         a_ring, b_ring = u.source, u.target
+        self.var = var = fresh_var("x", b_ring)
         right = carrier_ring(b_ring, var)
         self.right = right
 
@@ -155,7 +154,6 @@ class Factorization:
                                sampler=sampler, label=f"{a_ring.label}'")
         self.i = FuncHom(a_ring, self.middle,
                          lambda a: (a, lift(b_ring, u.apply(a))), label="i")
-        self.iota1 = self.middle.second()
         self.iota2 = self.middle.first()
         self.p = FuncHom(self.middle, b_ring,
                          lambda pair: eval_endpoint(b_ring, pair[1], var, 1),
@@ -166,7 +164,7 @@ class Factorization:
                                                  lift(b_ring, b), var, 1)),
             label="b->(0,bx)")
 
-        hvar = homotopy_var
+        hvar = fresh_var("y", self.middle)
         hcarrier = carrier_ring(self.middle, hvar)
         sb = right.scalar_base
 
@@ -210,8 +208,8 @@ class Factorization:
                 "certificate": cert_report}
 
 
-def factorize(u, var="x", homotopy_var="y"):
-    return Factorization(u, var=var, homotopy_var=homotopy_var)
+def factorize(u):
+    return Factorization(u)
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +219,22 @@ def factorize(u, var="x", homotopy_var="y"):
 class MappingPath:
     """P(g) = B x_C EC with its three structure maps."""
 
-    def __init__(self, g, var):
+    def __init__(self, g):
         self.g = g
-        self.var = var
         b_ring, c_ring = g.source, g.target
+        self.var = var = fresh_var("x1", b_ring, c_ring)
         self.ring = mapping_path_ring(g, var)
         self.g1 = self.ring.first()
         self.g1.label = "g1"
-        self.gprime = self.ring.second()
-        self.gprime.label = "g'"
         self.loops = LoopRing(c_ring, var)
         zero_b = b_ring.zero()
         self.j = FuncHom(self.loops, self.ring, lambda c: (zero_b, c),
                          label="j")
 
-    def null_homotopy(self, svar="s"):
+    def null_homotopy(self):
         """The composite g o g1 : P(g) -> C is null through (b, p) -> p(s)."""
         c_ring = self.g.target
+        svar = fresh_var("s", c_ring)
         # polynomials in svar over C, pair-ring targets included
         carrier = PolyRing(c_ring, (svar,), label=f"{c_ring.label}[{svar}]")
         sb = carrier.scalar_base
@@ -251,8 +248,8 @@ class MappingPath:
             compose(self.g, self.g1, label="g*g1"), svar, carrier=carrier)
 
 
-def mapping_path(g, var="x1"):
-    return MappingPath(g, var)
+def mapping_path(g):
+    return MappingPath(g)
 
 
 class PuppeSequence:
@@ -264,8 +261,8 @@ class PuppeSequence:
         self.g = g
         self.stages = []
         current = g
-        for m in range(1, length + 1):
-            mp = MappingPath(current, var=f"x{m}")
+        for _ in range(length):
+            mp = MappingPath(current)
             self.stages.append(mp)
             current = mp.g1
 
@@ -283,7 +280,7 @@ class PuppeSequence:
                     failures.append((idx, "j image escapes P(g)", c))
                 if not _is_zero_of(mp.g1.target, mp.g1.apply(val)):
                     failures.append((idx, "g1 o j != 0", c))
-            cert = mp.null_homotopy(svar=f"s{idx}")
+            cert = mp.null_homotopy()
             rep = verify_certificate(cert, probes=probes, rng=rng)
             if not rep.valid:
                 failures.append((idx, "null homotopy", rep.failure))
@@ -501,32 +498,20 @@ class LeftTriangle:
         self.witness = witness      # rotation certificate, when constructed
 
 
-def standard_triangle(g, var="x1"):
-    mp = MappingPath(g, var)
+def standard_triangle(g):
+    mp = MappingPath(g)
     return LeftTriangle((mp.loops, mp.ring, g.source, g.target),
                         (mp.j, mp.g1, g), "standard", witness=None), mp
 
 
 def omega_hom(g, source_loop, target_loop):
-    """Omega g : functorial action on loop rings.
+    """Omega g : functorial action on loop rings of the same variable.
 
-    g maps the coefficient rings (source_loop.base -> target_loop.base);
-    the result applies g to every slice in the loop variable.  In the
-    flat representation a slice of a nested loop ring is itself a
-    polynomial, so this recurses naturally through g.
+    g maps the coefficient rings (source_loop.base -> target_loop.base)
+    and acts on coefficients, so a nested loop ring recurses through g.
     """
-    src_base, tgt_base = source_loop.base, target_loop.base
-    sb_t = target_loop.scalar_base
-
-    def fn(p):
-        out = target_loop.zero()
-        for e, q in slices(p, source_loop.var).items():
-            img = lift(tgt_base, g.apply(lower(src_base, q)))
-            out = target_loop.add(out, shift_poly(sb_t, img,
-                                                  target_loop.var, e))
-        return out
-
-    return FuncHom(source_loop, target_loop, fn, label=f"Omega({g.label})")
+    return coefficient_map(g, source_loop, target_loop,
+                           label=f"Omega({g.label})")
 
 
 def minus_omega_hom(g, source_loop, target_loop):
@@ -543,14 +528,14 @@ def rotate(triangle):
     Omega B -> Omega C -> A -> B with connecting map -Omega h."""
     oc, a, b, c = triangle.objects
     f, g, h = triangle.maps
-    source_loop = LoopRing(b, oc.var if isinstance(oc, LoopRing) else "x1")
+    source_loop = LoopRing(b, oc.var)
     neg = minus_omega_hom(h, source_loop, oc)
     return LeftTriangle((source_loop, oc, a, b), (neg, f, g),
                         ("rotated", triangle.provenance),
                         witness=triangle.witness)
 
 
-def rotation_witness(g, var_c="x1", var_b="x2", hvar="y"):
+def rotation_witness(g):
     """The elementary homotopy behind triangle rotation for a standard
     triangle of g.
 
@@ -560,36 +545,36 @@ def rotation_witness(g, var_c="x1", var_b="x2", hvar="y"):
 
         b(x) -> ((b(1-y), g(b(1-x1 y))), b(x2 (1-y)))
 
-    whose evaluation at y=0 is kappa and at y=1 is nu o Omega g o sigma.
+    whose evaluation at y=0 is kappa and at y=1 is nu o Omega g o sigma
+    (the names fresh_var picks when neither B nor C is polynomial).
     """
-    from .poly import iconst
-
     b_ring, c_ring = g.source, g.target
-    mp = MappingPath(g, var_c)
-    mp1 = MappingPath(mp.g1, var_b)
-    loops_b = LoopRing(b_ring, "x")
+    mp = MappingPath(g)
+    mp1 = MappingPath(mp.g1)
+    var_c, var_b = mp.var, mp1.var
+    hvar = fresh_var("y", mp1.ring)
+    x = fresh_var("x", b_ring, c_ring)
+    loops_b = LoopRing(b_ring, x)
     p_carrier = carrier_ring(mp1.ring, hvar)
     sb_b = loops_b.scalar_base
     sb_c = scalar_base_of(c_ring)
-
-    gen_map = coefficient_map(
-        g, PolyRing(sb_b, ("x",)), PolyRing(sb_c, ("x",)), label="g[..]")
+    gen_map = omega_hom(g, loops_b, LoopRing(c_ring, x))
 
     def kappa(bp):
         return ((b_ring.zero(), Poly()),
-                substitute(sb_b, bp, {"x": ivar(var_b)}))
+                substitute(sb_b, bp, {x: ivar(var_b)}))
 
     def nu_og_sigma(bp):
-        moved = substitute(sb_c, gen_map.apply(bp), {"x": one_minus(var_c)})
+        moved = substitute(sb_c, gen_map.apply(bp), {x: one_minus(var_c)})
         return ((b_ring.zero(), moved), Poly())
 
     def homotopy(bp):
-        first = substitute(sb_b, bp, {"x": one_minus(hvar)})
+        first = substitute(sb_b, bp, {x: one_minus(hvar)})
         second = substitute(sb_c, gen_map.apply(bp),
-                            {"x": isub(iconst(1),
-                                       imul(ivar(var_c), ivar(hvar)))})
+                            {x: isub(iconst(1),
+                                     imul(ivar(var_c), ivar(hvar)))})
         third = substitute(sb_b, bp,
-                           {"x": imul(ivar(var_b), one_minus(hvar))})
+                           {x: imul(ivar(var_b), one_minus(hvar))})
         return ((first, second), third)
 
     h = FuncHom(loops_b, p_carrier, homotopy, label="rotation homotopy")
@@ -653,19 +638,15 @@ def octahedron(h, k, probes=40, rng=None):
     if image != kernel:
         failures.append("A -> F -> E not exact")
 
-    var_b, var_h = "x2", "x1"
-    mp_beta = MappingPath(beta, var_b)
-    mp_h = MappingPath(h, var_h)
-
-    ell_map = coefficient_map(e_incl, PolyRing(e_ring, (var_b,)),
-                              PolyRing(c_ring, (var_b,)), label="l[..]")
-    rename = substitution_hom(PolyRing(c_ring, (var_b,)),
-                              PolyRing(c_ring, (var_h,)),
-                              {var_b: ivar(var_h)})
+    # both mapping paths are over finite rings, so both adjoin x1
+    mp_beta = MappingPath(beta)
+    mp_h = MappingPath(h)
+    ell_map = coefficient_map(e_incl, mp_beta.ring.right, mp_h.ring.right,
+                              label="l[..]")
 
     def psi(pair):
         f, e_poly = pair
-        return (f_incl.apply(f), rename.apply(ell_map.apply(e_poly)))
+        return (f_incl.apply(f), ell_map.apply(e_poly))
 
     psi_hom = FuncHom(mp_beta.ring, mp_h.ring, psi, label="psi")
 

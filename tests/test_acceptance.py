@@ -58,7 +58,7 @@ def test_criterion_03_contractibility():
     rng = random.Random(103)
     bad = []
     for label, ring in sorted(RINGS.items()):
-        cert = path_contraction_certificate(PathRing(ring, "x"), "y")
+        cert = path_contraction_certificate(PathRing(ring, "x"))
         report = verify_certificate(cert, probes=50, rng=rng)
         if not report.valid:
             bad.append((label, report.failure))
@@ -158,7 +158,7 @@ def test_criterion_08_sigma_tau_algebra():
         sig = sigma_hom(loop)
         loop2 = double_loop_ring(ring, "x", "y")
         tau = tau_hom(loop2)
-        h = swap_homotopy(loop2, "t")
+        h = swap_homotopy(loop2)
         sb = loop2.scalar_base
         for _ in range(1000):
             p = loop.sample(rng)

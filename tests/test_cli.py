@@ -385,7 +385,7 @@ def test_certificate_endpoints_load_as_homs():
 
 def test_certificate_with_an_infinite_source_does_not_serialize():
     from hotring import HotringError, PathRing, path_contraction_certificate
-    cert = path_contraction_certificate(PathRing(RINGS["sq0_z2"], "x"), "y")
+    cert = path_contraction_certificate(PathRing(RINGS["sq0_z2"], "x"))
     with pytest.raises(HotringError, match="only finite-source"):
         certificate_to_json(cert)
 

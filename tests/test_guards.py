@@ -2,9 +2,11 @@
 
 import argparse
 import ast
+import inspect
 import pathlib
 
 import hotring
+from hotring import homotopy, poly, simplicial, triangle
 from hotring.cli import FILE_ARGS, build_parser
 
 SRC = pathlib.Path(hotring.__file__).parent
@@ -106,3 +108,26 @@ def test_every_cli_file_option_is_an_input():
     dests = {action.dest for sub in commands.choices.values()
              for action in sub._actions}
     assert dests - CLI_PARAMETERS == set(FILE_ARGS)
+
+
+# a construction picks the variables it adjoins with poly.fresh_var
+NAME_PARAMETERS = {"var", "homotopy_var", "svar", "yvar", "tvar", "hvar",
+                   "var_c", "var_b", "prefix"}
+
+
+def test_constructions_take_no_variable_names():
+    """The paper's constructions adjoin fresh variables that no ring
+    involved uses; none of them takes the name as a parameter."""
+    constructions = [
+        triangle.Factorization.__init__, triangle.factorize,
+        triangle.MappingPath.__init__, triangle.mapping_path,
+        triangle.MappingPath.null_homotopy, triangle.standard_triangle,
+        triangle.rotation_witness, homotopy.path_contraction_certificate,
+        homotopy.constant_certificate, homotopy.graded_certificate,
+        poly.swap_homotopy, simplicial.SimplexRing.__init__,
+        simplicial.identity_pair, simplicial.check_simplicial_identities,
+        simplicial.check_contraction_compatibility]
+    offenders = [f"{f.__qualname__}({p})" for f in constructions
+                 for p in inspect.signature(f).parameters
+                 if p in NAME_PARAMETERS]
+    assert offenders == []

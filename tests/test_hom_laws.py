@@ -8,7 +8,8 @@ from hotring import (LoopRing, PathRing, PolyRing, SimplexRing, alpha_hom,
                      beta_hom, canonicalize, corpus, double_loop_ring,
                      omega_pair_hom, omega_tilde, sigma_hom, tau_hom,
                      tower_homs)
-from hotring.poly import coefficient_map, imul, ivar, one_minus
+from hotring.poly import (coefficient_map, iconst, imul, ivar, one_minus,
+                          shift_poly, substitution_hom)
 
 RINGS = corpus()
 PAIRS = 1000
@@ -86,6 +87,28 @@ def test_coefficient_maps_are_homs():
     tgt = PolyRing(h.target, ("x",))
     lifted = coefficient_map(h, src, tgt)
     _check_hom(src, tgt, lifted.apply, rng)
+
+
+def test_coefficient_map_over_a_polynomial_source():
+    # g : E(Z/3; x) -> E(Z/3; x), p(x) -> p(2x), extended to E[y] acts on
+    # each y-slice as a whole, so it is the substitution x -> 2x
+    rng = random.Random(18)
+    paths = PathRing(RINGS["z3_unital"], "x")
+    two_x = {"x": imul(iconst(2), ivar("x"))}
+    g = substitution_hom(paths, paths, two_x)
+    ring = PolyRing(paths, ("y",))
+    lifted = coefficient_map(g, ring, ring)
+
+    def sample():       # an element of E[y]: path-ring coefficients of y^k
+        return ring.sum(shift_poly(ring.scalar_base, paths.sample(rng), "y", k)
+                        for k in range(3))
+
+    for _ in range(200):
+        p, q = sample(), sample()
+        fp, fq = lifted.apply(p), lifted.apply(q)
+        assert fp == ring.substitute(p, two_x)
+        assert lifted.apply(ring.add(p, q)) == ring.add(fp, fq)
+        assert lifted.apply(ring.mul(p, q)) == ring.mul(fp, fq)
 
 
 def test_path_ring_inclusion_closure():

@@ -14,6 +14,7 @@ from hotring import (BudgetExceeded, FuncHom, HomotopyCertificate,
                      search_up_to, verify_certificate, zero_hom, zero_ring,
                      GRADING)
 from hotring.homotopy import carrier_ring, constant_certificate
+from hotring.poly import iconst, imul, ivar, substitution_hom
 
 from oracles import (enumerate_homs_oracle, search_elementary_oracle,
                      verify_certificate_exact_reference)
@@ -34,7 +35,7 @@ def test_square_zero_identity_homotopic_to_zero_at_degree_one():
     cert = search_elementary(identity_hom(r), zero_hom(r, r), 1)
     assert isinstance(cert, HomotopyCertificate)
     report = verify_certificate(cert)
-    assert report.valid and report.mode == "exact"
+    assert report.valid and report.mode == "exact" and cert.var == "x"
     # the found certificate is g -> g x with endpoints (id, 0) flipped in
     # the search orientation: endpoints are pinned by construction
     assert cert.endpoint(0).images == identity_hom(r).images
@@ -78,7 +79,7 @@ def test_search_budget():
 def test_path_contraction_certificate_all_corpus():
     rng = random.Random(0)
     for label, r in RINGS.items():
-        cert = path_contraction_certificate(PathRing(r, "x"), "y")
+        cert = path_contraction_certificate(PathRing(r, "x"))
         report = verify_certificate(cert, probes=40, rng=rng)
         assert report.valid, (label, report.failure)
 
@@ -181,6 +182,19 @@ def test_composition_stability_transports():
         assert verify_certificate(post, rng=rng).valid
 
 
+def test_postcompose_over_a_polynomial_shaped_target():
+    # h acts on the coefficients of E(Z/3)[y], which are themselves
+    # polynomials in x: each y-slice goes through h whole
+    rng = random.Random(2)
+    paths = PathRing(RINGS["z3_unital"], "x")
+    double = substitution_hom(paths, paths, {"x": imul(iconst(2), ivar("x"))})
+    cert = path_contraction_certificate(paths)
+    for h in (identity_hom(paths), double):
+        post = postcompose_certificate(h, cert)
+        report = verify_certificate(post, probes=20, rng=rng)
+        assert report.valid and report.mode == "probes", report
+
+
 def test_equivalence_identity():
     r = RINGS["two_z8"]
     g, c1, c2 = search_homotopy_equivalence(
@@ -221,7 +235,7 @@ def test_flip_of_a_path_contraction_verifies_on_probes():
     # their FuncHom branches over a polynomial-shaped target
     rng = random.Random(5)
     paths = PathRing(RINGS["z3_unital"], "x")
-    cert = path_contraction_certificate(paths, "y")
+    cert = path_contraction_certificate(paths)
     flipped = flip_certificate(cert)
     report = verify_certificate(flipped, probes=30, rng=rng)
     assert report.valid and report.mode == "probes"
@@ -473,7 +487,7 @@ def test_dropped_coefficient_checks_trip_the_post_check():
 def _path_certificate(kind):
     r = RINGS["z3_unital"]
     paths = PathRing(r, "x")
-    cert = path_contraction_certificate(paths, "y")
+    cert = path_contraction_certificate(paths)
     carrier = carrier_ring(paths, "y")
     h = cert.hom.apply
     if kind == "membership":       # a constant term leaves E(R)[y]

@@ -195,7 +195,7 @@ def test_swap_homotopy_endpoints_exactly():
     rng = random.Random(6)
     for r in RINGS.values():
         om2 = double_loop_ring(r, "x", "y")
-        h = swap_homotopy(om2, "t")
+        h = swap_homotopy(om2)
         tau = tau_hom(om2)
         sb = om2.scalar_base
         for _ in range(60):
@@ -211,7 +211,7 @@ def test_swap_homotopy_additive_and_hom_on_square_zero():
         r = RINGS[label]
         om2 = double_loop_ring(r, "x", "y")
         big = PolyRing(r, ("x", "y", "t"))
-        h = swap_homotopy(om2, "t")
+        h = swap_homotopy(om2)
         for _ in range(60):
             p, q = om2.sample(rng), om2.sample(rng)
             assert h.apply(om2.add(p, q)) == big.add(h.apply(p), h.apply(q))
@@ -225,7 +225,7 @@ def test_swap_homotopy_not_multiplicative_on_unital_base():
     r = RINGS["z2_unital"]
     om2 = double_loop_ring(r, "x", "y")
     big = PolyRing(r, ("x", "y", "t"))
-    h = swap_homotopy(om2, "t")
+    h = swap_homotopy(om2)
     f = om2.from_factor(LoopRing(r, "x").from_factor(om2.const(r.gen(0))))
     lhs = h.apply(om2.mul(f, f))
     rhs = big.mul(h.apply(f), h.apply(f))

@@ -257,6 +257,15 @@ def test_quotient_two_z8_by_four():
     assert kernel == ideal
 
 
+def test_is_surjective_off_finite_rings_is_a_typed_error():
+    r = RINGS["z3_unital"]
+    u = unitalization(r)
+    with pytest.raises(HotringError, match=r"id_z3_unital\+ \(z3_unital\+"):
+        is_surjective(identity_hom(u))
+    with pytest.raises(HotringError, match="incl"):
+        is_surjective(u.inclusion())
+
+
 def test_ideal_closure_saturates():
     r = RINGS["upper3_z2"]
     # e12 generates e13 = e12*e23 only through right multiplication

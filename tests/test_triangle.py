@@ -11,7 +11,10 @@ from hotring import (DepthExceeded, FibrationFamily, FuncHom,
                      rotation_witness, standard_triangle, tower_homs,
                      verify_certificate, zero_hom, zero_ring, TruncatedPuppe,
                      truncated_path_ring)
-from hotring.homotopy import eval_endpoint
+from hotring.homotopy import (constant_certificate, eval_endpoint,
+                              path_contraction_certificate)
+from hotring.poly import (double_loop_ring, evaluate, fresh_var,
+                          swap_homotopy, tau_hom)
 from hotring.triangle import minus_omega_hom, omega_hom
 
 from oracles import minors_gcd_invariants
@@ -49,6 +52,7 @@ def test_factorize_zero_map():
 def test_factorize_surjection_no_shortcut():
     fac = factorize(H_TOWER)
     assert fac.verify()["ok"]
+    assert (fac.var, fac.certificate.var) == ("x", "y")
 
 
 def test_factorize_certificate_is_elementary_homotopy():
@@ -83,10 +87,13 @@ def test_factorize_over_a_path_ring_verifies_on_probes():
     assert result["certificate"].mode == "probes"
 
 
-def test_factorize_refuses_a_variable_the_ring_already_uses():
+def test_factorize_picks_fresh_names_on_a_ring_that_uses_x():
     b = PathRing(RINGS["z3_unital"], "x")
-    with pytest.raises(HotringError, match="repeated variable"):
-        factorize(identity_hom(b))
+    fac = factorize(identity_hom(b))
+    assert (fac.var, fac.certificate.var) == ("x1", "y")
+    result = fac.verify(probes=20)
+    assert result["ok"], result
+    assert result["certificate"].mode == "probes"
 
 
 def test_factorize_section_is_canonical_over_a_polynomial_target():
@@ -157,7 +164,7 @@ def test_factorize_probe_mode_reports_each_failure(tamper, failures):
 def test_mapping_path_membership_probe():
     # (b, g(b) x) always lies in P(g)
     g = H_TOWER
-    mp = mapping_path(g, var="x1")
+    mp = mapping_path(g)
     for b in g.source.elements():
         gb = g.apply(b)
         p = Poly((((("x1", 1),), gb),)) if gb != g.target.zero() else Poly()
@@ -167,7 +174,7 @@ def test_mapping_path_membership_probe():
 def test_mapping_path_identity_collapses_to_paths():
     # g = id: (p(1), p) <-> p identifies P(id) with EC
     c = RINGS["two_z8"]
-    mp = mapping_path(identity_hom(c), var="x1")
+    mp = mapping_path(identity_hom(c))
     rng = random.Random(2)
     ec = PathRing(c, "x1")
     for _ in range(50):
@@ -179,7 +186,7 @@ def test_mapping_path_identity_collapses_to_paths():
 def test_mapping_path_zero_map_splits():
     # g = 0: P(g) = B x Omega C
     b, c = RINGS["sq0_z2"], RINGS["sq0_z3"]
-    mp = mapping_path(zero_hom(b, c), var="x1")
+    mp = mapping_path(zero_hom(b, c))
     rng = random.Random(3)
     loops = LoopRing(c, "x1")
     for _ in range(50):
@@ -190,7 +197,7 @@ def test_mapping_path_zero_map_splits():
 
 def test_mapping_path_structure_maps():
     rng = random.Random(4)
-    mp = mapping_path(K_TOWER, var="x1")
+    mp = mapping_path(K_TOWER)
     for _ in range(50):
         c_loop = mp.loops.sample(rng)
         v = mp.j.apply(c_loop)
@@ -206,6 +213,7 @@ def test_puppe_verifies_on_tower():
     seq = puppe(H_TOWER, 3)
     result = seq.verify(probes=15)
     assert result["ok"], result["failures"][:3]
+    assert [mp.var for mp in seq.stages] == ["x1", "x2", "x3"]
 
 
 def test_puppe_identity_stages_contract():
@@ -285,6 +293,15 @@ def test_axioms_unmarked_map_flagged(extra, marked, violation):
     assert not report["ok"]
 
 
+def test_family_over_an_infinite_ring_is_a_typed_error():
+    # surjectivity is decided between finite rings only; a family over
+    # E(Z/3) names the offending hom instead of dying with a traceback
+    b = PathRing(RINGS["z3_unital"], "x")
+    with pytest.raises(HotringError, match="id_E"):
+        FibrationFamily({"E": b}, {"id": identity_hom(b)},
+                        all_surjective=True)
+
+
 def test_marking_non_surjective_map_rejected_at_ingestion():
     rings, homs = _tower_family()
     homs["bad"] = zero_hom(RINGS["sq0_z2"], RINGS["tower2"])
@@ -319,6 +336,7 @@ def test_rotation_witness_endpoints():
     cert, mp, mp1 = rotation_witness(K_TOWER)
     report = verify_certificate(cert, probes=60)
     assert report.valid, report.failure
+    assert (mp.var, mp1.var, cert.var) == ("x1", "x2", "y")
 
 
 def test_rotation_witness_on_unital_ring():
@@ -453,3 +471,69 @@ def test_gl_fibration_flag_cases():
     unital = RingHom(RINGS["z2_unital"], RINGS["z2_unital"], [(1,)])
     unital.validate()
     assert gl_fibration_flag(unital)["flag"] == "Unknown"
+
+
+# ---------------------------------------------------------------------------
+# fresh variables: each construction runs on a ring that uses its names
+
+
+def _verifies(cert, rng):
+    report = verify_certificate(cert, probes=10, rng=rng)
+    assert report.valid and report.mode == "probes", report
+
+
+def _factorize(b, rng):
+    result = factorize(identity_hom(b)).verify(probes=10, rng=rng)
+    assert result["ok"] and result["certificate"].mode == "probes", result
+
+
+def _puppe(b, rng):
+    result = puppe(identity_hom(b), 2).verify(probes=5, rng=rng)
+    assert result["ok"], result["failures"][:3]
+
+
+def _standard_triangle(b, rng):
+    tri, mp = standard_triangle(identity_hom(b))
+    j, g1, _ = tri.maps
+    for _ in range(10):
+        v = j.apply(mp.loops.sample(rng))
+        assert mp.ring.contains(v) and g1.apply(v) == b.zero()
+
+
+def _swap(b, rng):
+    # t = 0 gives the swap, t = 1 the identity, and the map is additive
+    om2 = double_loop_ring(b, fresh_var("x", b), fresh_var("y", b))
+    h, tau = swap_homotopy(om2), tau_hom(om2)
+    (t,) = set(h.target.vars) - set(om2.vars)
+    sb = om2.scalar_base
+    for _ in range(10):
+        f, g = om2.sample(rng), om2.sample(rng)
+        hf = h.apply(f)
+        assert evaluate(sb, hf, t, 0) == tau.apply(f)
+        assert evaluate(sb, hf, t, 1) == f
+        assert h.apply(om2.add(f, g)) == h.target.add(hf, h.apply(g))
+
+
+CONSTRUCTIONS = {
+    "factorize": _factorize,
+    "puppe": _puppe,
+    "standard_triangle": _standard_triangle,
+    "rotation_witness": lambda b, rng: _verifies(
+        rotation_witness(identity_hom(b))[0], rng),
+    "null_homotopy": lambda b, rng: _verifies(
+        mapping_path(identity_hom(b)).null_homotopy(), rng),
+    "path_contraction": lambda b, rng: _verifies(
+        path_contraction_certificate(b), rng),
+    "constant": lambda b, rng: _verifies(
+        constant_certificate(identity_hom(b)), rng),
+    "swap_homotopy": _swap,
+}
+
+
+@pytest.mark.parametrize("v", ["x", "x1", "x2", "y", "s", "t"])
+@pytest.mark.parametrize("construction", list(CONSTRUCTIONS))
+def test_construction_adjoins_fresh_variables(construction, v):
+    """On E(Z/3; v) every construction adjoins names the ring does not
+    use, even where its names on a finite ring (x, y, x1, x2, s, t) are v."""
+    CONSTRUCTIONS[construction](PathRing(RINGS["z3_unital"], v),
+                                random.Random(0))
