@@ -28,11 +28,26 @@ coefficient matrices, before any quasi-inverse is sought over A[t].
 Evaluation at t = 1 is a ring hom A[t] -> A, so every quasi-invertible
 path ends in GL_n(A); a candidate ending at 0, outside GL_n(A) or at a
 generator already found can add nothing, and skipping it leaves the
-identified subgroup exactly as it was.
+identified subgroup exactly as it was.  When A is commutative with a
+unit the ends narrow further to 1 + N, N the nilradical of A: if
+P(0) = 0 and I + P(t) is invertible over A[t], then det(I + P(t)) is a
+unit of A[t] with constant term 1, its higher coefficients are
+nilpotent, and so det(I + P(1)) lies in 1 + N.  The allowed ends are one
+precomputed set (_path_ends), tested once per candidate.
+
+The finite group GL_n(A) runs on integer codes (CircleGroup): an element
+of A is coded by its index in ring.elements(), which is lexicographic,
+so coded matrices sort as the matrices do.  Add and mul tables of codes
+live on the group, so rings that never build a GL group pay nothing for
+them; the circle-power walk, the endpoint sums, the subgroup closure,
+the normality test and the coset partition all run on codes, and only
+the public surface (CircleGroup.elements, witnesses, index, op, inv and
+every Pi0Presentation field) holds matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import BadUnit, BudgetExceeded, VerificationFailure
@@ -173,13 +188,8 @@ def _invert_in_unital(ring, u):
     if inv0 is None:
         return None
     w = ring.sub(u, ring.const(u0))
-    for _, c in w.terms:
-        seen, p = set(), c
-        while not base.is_zero(p):
-            if p in seen:
-                return None
-            seen.add(p)
-            p = base.mul(p, c)
+    if not all(_is_nilpotent(base, c) for _, c in w.terms):
+        return None
     inv0p = ring.const(inv0)
     term, acc = ring.const(base.unit), ring.zero()
     while term != ring.zero():
@@ -188,9 +198,23 @@ def _invert_in_unital(ring, u):
     return ring.mul(inv0p, acc)
 
 
-def _circle_powers(ring, m):
+def _is_nilpotent(ring, x):
+    """Whether some power of x is 0; in a finite ring the powers of x
+    reach 0 or repeat."""
+    seen, p = set(), x
+    while not ring.is_zero(p):
+        if p in seen:
+            return False
+        seen.add(p)
+        p = ring.mul(p, x)
+    return True
+
+
+def _circle_powers(m, zero, product):
     """The circle powers m, m o m, ... of a square matrix over a finite
-    ring, up to the first one that is 0 or repeats, and whether 0 came.
+    ring, up to the first one that is 0 or repeats, and whether 0 came;
+    product is the circle product, on matrices (circle) or on codes
+    (CircleGroup._op), and zero the identity in the same form.
 
     (M_n(A), o) is a finite monoid with identity 0, so m is quasi-invertible
     exactly when m^{o(k+1)} = 0 for some k, and m^{o k} is then its unique
@@ -198,12 +222,11 @@ def _circle_powers(ring, m):
     Semigroup Theory, 1995, ch. 1).  A repeat before 0 rules out every
     power too: m^{o j} o N = 0 would make m^{o(j-1)} o N a right inverse
     of m, and in a finite monoid a right inverse is two-sided."""
-    zero = mat_zero(ring, len(m))
     powers = {}                 # insertion-ordered, with set lookup
     p = m
     while p != zero and p not in powers:
         powers[p] = None
-        p = circle(ring, p, m)
+        p = product(p, m)
     return list(powers), p == zero
 
 
@@ -234,7 +257,8 @@ def _t_adic_quasi_inverse(ring, m):
                 coeffs[mono[0][1] if mono else 0][r][c] = x
     coeffs = [tuple(map(tuple, a)) for a in coeffs]
 
-    powers, reached_zero = _circle_powers(base, coeffs[0])
+    powers, reached_zero = _circle_powers(coeffs[0], zero,
+                                          functools.partial(circle, base))
     if not reached_zero:
         return None
     w = [powers[-1] if powers else zero]
@@ -271,7 +295,8 @@ def quasi_inverse(ring, m):
     FiniteRing answer unknown.
     """
     if isinstance(ring, FiniteRing):
-        powers, reached_zero = _circle_powers(ring, m)
+        powers, reached_zero = _circle_powers(
+            m, mat_zero(ring, len(m)), functools.partial(circle, ring))
         trace = [f"circle powers({len(powers)})"]
         if not reached_zero:
             return QiResult("not_qi", None, trace)
@@ -309,18 +334,124 @@ def quasi_inverse(ring, m):
 # the finite circle group GL_n(A)
 
 
-class CircleGroup:
-    """Full table of (GL_n(A), o) with quasi-inverse witnesses."""
+class _Lazy(dict):
+    """A dict that computes a missing entry with fill(key) and keeps it."""
 
-    def __init__(self, ring, n, elements, witnesses):
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _code_table(op, elems, code, full):
+    """op on element codes as table[a][b]: full, or filled on first use."""
+    if full:
+        return [[code[op(x, y)] for y in elems] for x in elems]
+    return _Lazy(lambda a: _Lazy(lambda b, x=elems[a]: code[op(x, elems[b])]))
+
+
+class _Subgroup(list):
+    """A subgroup from CircleGroup.subgroup_closure: its elements as a
+    sorted list of matrices and, on codes, its element set and the
+    generators its closure kept."""
+
+    def __init__(self, elements, codes, generators):
+        super().__init__(elements)
+        self.codes = codes
+        self.generators = generators
+
+
+class CircleGroup:
+    """(GL_n(A), o) with quasi-inverse witnesses, run on integer codes.
+
+    Inside, a matrix is the flat tuple of the codes of its entries (see
+    the module docstring).  Built from ring and n alone it is all of
+    GL_n(A): the circle powers of each matrix not yet decided settle it
+    and all its powers at once.  Elements and witnesses may also be given.
+    """
+
+    def __init__(self, ring, n, elements=None, witnesses=None):
         self.ring = ring
         self.n = n
+        self._elems = list(ring.elements())
+        self._code = {x: c for c, x in enumerate(self._elems)}
+        # |A|^2 entries each: for n >= 2 gl_group's budget on |A|^{n^2}
+        # bounds that, at n = 1 it does not, so entries come on first use
+        self._add = _code_table(ring.add, self._elems, self._code, n >= 2)
+        self._mul = _code_table(ring.mul, self._elems, self._code, n >= 2)
+        # entry e = (i, j) of a o b is a_e + b_e + sum_k a_ik b_kj
+        self._terms = tuple(
+            (i * n + j, tuple((i * n + k, k * n + j) for k in range(n)))
+            for i in range(n) for j in range(n))
+        self._zero = self._encode(mat_zero(ring, n))
+        self._matrix = {}             # code -> matrix, for the elements
+        if elements is None:
+            inverse = self._circle_power_walk()
+            codes = sorted(inverse)
+            self._matrix = {c: self._decode(c) for c in codes}
+            elements = [self._matrix[c] for c in codes]
+            witnesses = {self._matrix[c]: self._matrix[w]
+                         for c, w in inverse.items()}
+        else:
+            codes = [self._encode(m) for m in elements]
+            self._matrix = dict(zip(codes, elements))
+            inverse = {self._encode(m): self._encode(w)
+                       for m, w in witnesses.items()}
         self.elements = elements      # sorted list of M parts
         self.witnesses = witnesses    # M -> N
         self.index = {m: i for i, m in enumerate(elements)}
+        self._codes = codes
+        self._inverse = inverse
+        self._generators = None       # of the whole group, on first use
+
+    def _encode(self, m):
+        code = self._code
+        return tuple([code[x] for row in m for x in row])
+
+    def _decode(self, c):
+        m = self._matrix.get(c)
+        if m is None:
+            elems, n = self._elems, self.n
+            m = tuple(tuple([elems[x] for x in c[i:i + n]])
+                      for i in range(0, n * n, n))
+        return m
+
+    def _op(self, a, b):
+        """The circle product on codes."""
+        add, mul = self._add, self._mul
+        out = []
+        for e, pairs in self._terms:
+            acc = add[a[e]][b[e]]
+            for x, y in pairs:
+                acc = add[acc][mul[a[x]][b[y]]]
+            out.append(acc)
+        return tuple(out)
+
+    def _circle_power_walk(self):
+        """Code of M -> code of its witness, for every M in GL_n(A)."""
+        zero = self._zero
+        inverse = {}
+        outside = set()
+        for m in itertools.product(range(len(self._elems)),
+                                   repeat=self.n * self.n):
+            if m in inverse or m in outside:
+                continue
+            powers, reached_zero = _circle_powers(m, zero, self._op)
+            if not reached_zero:
+                outside.update(powers)
+                continue
+            # m^{o(k+1)} = 0: the powers m^{o j}, j = 0..k, form a cyclic
+            # group in which m^{o j} has inverse m^{o(k+1-j)}
+            cycle = [zero] + powers
+            for j, p in enumerate(cycle):
+                inverse[p] = cycle[-j]
+        return inverse
 
     def op(self, a, b):
-        return circle(self.ring, a, b)
+        return self._decode(self._op(self._encode(a), self._encode(b)))
 
     def inv(self, a):
         return self.witnesses[a]
@@ -354,13 +485,14 @@ class CircleGroup:
         return True
 
     def _generate(self, gens):
-        """The subgroup generated by gens, and the generators kept: each
-        one not already in the closure of those kept before it.  In a
-        finite group the subgroup is the monoid its generators span, so
-        closing the identity under right multiplication by the kept
+        """The subgroup generated by the codes gens, and the generators
+        kept: each one not already in the closure of those kept before it.
+        In a finite group the subgroup is the monoid its generators span,
+        so closing the identity under right multiplication by the kept
         generators suffices (Holt, Eick and O'Brien, Handbook of
         Computational Group Theory, ch. 4)."""
-        seen = {self.identity()}
+        op = self._op
+        seen = {self._zero}
         kept = []
         for g in gens:
             if g in seen:
@@ -368,38 +500,47 @@ class CircleGroup:
             kept.append(g)
             # seen is closed under the earlier generators, so the old
             # elements need only g; the new ones need every generator
-            frontier = [x for x in {self.op(h, g) for h in seen}
-                        if x not in seen]
+            frontier = [x for x in {op(h, g) for h in seen} if x not in seen]
             seen.update(frontier)
             while frontier:
                 h = frontier.pop()
                 for s in kept:
-                    x = self.op(h, s)
+                    x = op(h, s)
                     if x not in seen:
                         seen.add(x)
                         frontier.append(x)
         return seen, kept
 
     def subgroup_closure(self, gens):
-        return sorted(self._generate(gens)[0])
+        """The subgroup generated by gens, as a _Subgroup."""
+        seen, kept = self._generate([self._encode(g) for g in gens])
+        return _Subgroup([self._decode(c) for c in sorted(seen)], seen, kept)
 
     def is_normal(self, subgroup):
-        """Whether the given subgroup H is normal.  Conjugation by g is a
-        group hom, so g H g^-1 lies in H once it holds on a generating set
-        of H; the test runs on the generators kept by _generate only."""
-        sub = set(subgroup)
-        _, kept = self._generate(subgroup)
-        for g in self.elements:
-            gi = self.inv(g)
-            for s in kept:
-                if self.op(self.op(g, s), gi) not in sub:
+        """Whether the subgroup H is normal.  Conjugation by g is an
+        automorphism and G is finite, so H is normal once g s g^-1 lies in
+        H for g in a generating set of G and s in one of H.  G's is found
+        once and kept on the group; H's is the one its closure kept when H
+        comes from subgroup_closure, and all of H otherwise."""
+        if len(subgroup) == len(self.elements):
+            return True
+        if isinstance(subgroup, _Subgroup):
+            sub, gens = subgroup.codes, subgroup.generators
+        else:
+            sub = gens = {self._encode(m) for m in subgroup}
+        if self._generators is None:
+            self._generators = self._generate(self._codes)[1]
+        op = self._op
+        for g in self._generators:
+            gi = self._inverse[g]
+            for s in gens:
+                if op(op(g, s), gi) not in sub:
                     return False
         return True
 
 
 def gl_group(ring, n, budget=200_000):
-    """GL_n over a finite ring, with witnesses: the circle powers of each
-    matrix not yet decided settle it and all its powers at once.  Kept in
+    """GL_n over a finite ring, with witnesses (see CircleGroup).  Kept in
     ring.derived under ("gl", n), so the group lives exactly as long as
     the ring."""
     if ("gl", n) in ring.derived:
@@ -407,24 +548,7 @@ def gl_group(ring, n, budget=200_000):
     count = ring.size() ** (n * n)
     if count > budget:
         raise BudgetExceeded(count, budget)
-    zero = mat_zero(ring, n)
-    witnesses = {}
-    outside = set()
-    for cand in itertools.product(ring.elements(), repeat=n * n):
-        m = tuple(tuple(cand[i * n + j] for j in range(n)) for i in range(n))
-        if m in witnesses or m in outside:
-            continue
-        powers, reached_zero = _circle_powers(ring, m)
-        if not reached_zero:
-            outside.update(powers)
-            continue
-        # m^{o(k+1)} = 0: the powers m^{o j}, j = 0..k, form a cyclic
-        # group in which m^{o j} has inverse m^{o(k+1-j)}
-        cycle = [zero] + powers
-        for j, p in enumerate(cycle):
-            witnesses[p] = cycle[-j]
-    group = CircleGroup(ring, n, sorted(witnesses), witnesses)
-    ring.derived[("gl", n)] = group
+    group = ring.derived[("gl", n)] = CircleGroup(ring, n)
     return group
 
 
@@ -473,6 +597,22 @@ def _poly_matrix(ring, var, coeff_mats):
         for i in range(n))
 
 
+def _path_ends(group):
+    """The codes of the nonzero ends P(1) that a quasi-invertible path P
+    with P(0) = 0 can have: the elements of GL_n(A) and, when A is
+    commutative with a unit, only those with det(I + P(1)) in 1 + N (see
+    the module docstring)."""
+    ring = group.ring
+    ends = set(group._codes)
+    ends.discard(group._zero)
+    if ring.unit is not None and _is_commutative(ring):
+        one_plus_n = {ring.add(ring.unit, x) for x in ring.elements()
+                      if _is_nilpotent(ring, x)}
+        ends = {c for c in ends
+                if circle_determinant(ring, group._decode(c)) in one_plus_n}
+    return ends
+
+
 def kv1_approx(ring, n, degree, budget=200_000):
     """Classes of GL_n(A) modulo ends of degree <= degree polynomial paths.
 
@@ -488,41 +628,43 @@ def kv1_approx(ring, n, degree, budget=200_000):
     if count > budget:
         raise BudgetExceeded(count, budget)
 
-    mats = [tuple(tuple(cand[i * n + j] for j in range(n)) for i in range(n))
-            for cand in itertools.product(ring.elements(), repeat=n * n)]
+    mats = list(itertools.product(range(ring.size()), repeat=n * n))
     zero = mat_zero(ring, n)
-    gens = set()
+    add = group._add
+    ends = _path_ends(group)
+    found = []
     for coeffs in itertools.product(mats, repeat=degree):
         end = coeffs[0]
         for c in coeffs[1:]:
-            end = mat_add(ring, end, c)
-        # the endpoint filter of the module docstring: P(1) of a
-        # quasi-invertible path lies in GL_n(A)
-        if end == zero or end in gens or end not in group.index:
+            end = tuple([add[x][y] for x, y in zip(end, c)])
+        # the endpoint filter of the module docstring
+        if end not in ends:
             continue
-        pm = _poly_matrix(pring, "t", (zero,) + coeffs)
+        pm = _poly_matrix(pring, "t",
+                          (zero,) + tuple(map(group._decode, coeffs)))
         if quasi_inverse(pring, pm).status == "ok":
-            gens.add(end)
+            found.append(end)
+            ends.discard(end)
 
-    gens = sorted(gens)
+    gens = [group._decode(c) for c in sorted(found)]
     subgroup = group.subgroup_closure(gens)
     if not group.is_normal(subgroup):
         raise VerificationFailure("identified subgroup is not normal")
 
-    sub = set(subgroup)
-    class_map = {}
-    reps = []
-    for m in group.elements:
-        if m in class_map:
+    # the cosets m H, each listed once, on codes
+    coded_map, coded_reps = {}, []
+    for m in group._codes:
+        if m in coded_map:
             continue
-        coset = sorted(group.op(m, h) for h in sub)
-        idx = len(reps)
-        reps.append(coset[0])
+        coset = sorted(group._op(m, h) for h in subgroup.codes)
+        coded_reps.append(coset[0])
         for x in coset:
-            class_map[x] = idx
+            coded_map[x] = len(coded_reps) - 1
+    reps = [group._decode(c) for c in coded_reps]
+    class_map = {group._decode(x): i for x, i in coded_map.items()}
 
     inv_factors = _quotient_invariants(group, reps, class_map)
-    return Pi0Presentation((n, degree), group, subgroup, gens, reps,
+    return Pi0Presentation((n, degree), group, list(subgroup), gens, reps,
                            class_map, inv_factors)
 
 

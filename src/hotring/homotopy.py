@@ -255,6 +255,10 @@ def postcompose_certificate(h, cert):
 
 def constant_certificate(f):
     ring = f.target
+    if isinstance(ring, PairRing):
+        raise HotringError(f"constant_certificate of {f.label or 'a hom'}: "
+                           f"its target {ring.label} is a pair ring, which "
+                           "the constant homotopy does not support")
     var = fresh_var("t", ring)
     carrier = carrier_ring(ring, var)
     if isinstance(f, RingHom):

@@ -134,6 +134,10 @@ class Factorization:
     def __init__(self, u):
         self.u = u
         a_ring, b_ring = u.source, u.target
+        if isinstance(b_ring, PairRing):
+            raise HotringError(f"factorize {u.label or 'a hom'}: its target "
+                               f"{b_ring.label} is a pair ring, which the "
+                               "factorization does not support")
         self.var = var = fresh_var("x", b_ring)
         right = carrier_ring(b_ring, var)
         self.right = right

@@ -9,14 +9,15 @@ import weakref
 import pytest
 
 import hotring
-from hotring import (BadUnit, CircleGroup, PolyRing, QiMatrix,
+from hotring import (BadUnit, CircleGroup, NotAssociative, PolyRing, QiMatrix,
                      VerificationFailure, circle, circle_determinant, corpus,
                      determinant_certificate, enumerate_homs, gl_group,
                      homotopy_classes, kv1_approx, quasi_inverse, stabilize,
                      strict_pi0, validate_ring)
-from hotring.glk import (_poly_matrix, _quotient_invariants,
+from hotring.glk import (_path_ends, _poly_matrix, _quotient_invariants,
                          is_circle_witness, mat_zero)
 from hotring.poly import constant_of, evaluate
+from hotring.rings import FiniteRing
 from oracles import (matrices, quasi_inverse_cascade,
                      quasi_inverse_poly_cascade, witnesses_by_enumeration,
                      witnesses_up_to_degree)
@@ -275,6 +276,29 @@ def test_normality_on_s3_subgroups():
     assert g.is_normal([g.identity()])
 
 
+def _normal_by_definition(group, subgroup):
+    sub = set(subgroup)
+    return all(group.op(group.op(g, h), group.inv(g)) in sub
+               for g in group.elements for h in subgroup)
+
+
+@pytest.mark.parametrize("label", ["z2_unital", "z3_unital"])
+def test_normality_matches_the_definition_on_gl2(label):
+    # every subgroup of GL_2(F_2) or GL_2(F_3) generated by one or two
+    # elements, given as its closure (normality on the generators the
+    # closure kept) and as a plain list (on all of its elements)
+    g = gl_group(RINGS[label], 2)
+    verdicts = {}
+    for a, b in itertools.combinations_with_replacement(g.elements, 2):
+        sub = g.subgroup_closure([a, b])
+        key = tuple(sub)
+        if key not in verdicts:
+            verdicts[key] = _normal_by_definition(g, sub)
+            assert g.is_normal(list(sub)) == verdicts[key]
+        assert g.is_normal(sub) == verdicts[key]
+    assert True in verdicts.values() and False in verdicts.values()
+
+
 def test_kv1_rejects_a_subgroup_that_is_not_normal(monkeypatch):
     monkeypatch.setattr(CircleGroup, "is_normal", lambda self, sub: False)
     with pytest.raises(VerificationFailure):
@@ -296,6 +320,33 @@ def test_group_axiom_failures_are_typed_errors():
     open_set = CircleGroup(r, 2, [g.identity(), one, other], g.witnesses)
     with pytest.raises(VerificationFailure, match="not closed"):
         open_set.verify_group_axioms()
+
+
+def test_group_axioms_catch_a_wrong_witness():
+    r = RINGS["z3_unital"]
+    g = gl_group(r, 2)
+    a, b = g.elements[1], g.elements[2]
+    wrong = dict(g.witnesses)
+    wrong[a] = g.witnesses[b]
+    with pytest.raises(VerificationFailure, match="inverse law") as err:
+        CircleGroup(r, 2, g.elements, wrong).verify_group_axioms()
+    assert err.value.witness == a
+
+
+def test_group_axioms_catch_a_non_associative_ring():
+    # g0 g1 = g1 g0 = g1 and the other products 0 over Z/2: (g0 g0) g1 = 0
+    # but g0 (g0 g1) = g1, so only a ring built without validate_ring has it
+    table = (((0, 0), (0, 1)), ((0, 1), (0, 0)))
+    with pytest.raises(NotAssociative):
+        validate_ring((2, 2), table)
+    r = FiniteRing((2, 2), table, label="not-assoc")
+    z = mat_zero(r, 1)
+    elements = [((x,),) for x in r.elements()]
+    witnesses = {a: next(b for b in elements if circle(r, a, b) == z
+                         and circle(r, b, a) == z) for a in elements}
+    group = CircleGroup(r, 1, elements, witnesses)
+    with pytest.raises(VerificationFailure, match="associativity"):
+        group.verify_group_axioms()
 
 
 def test_determinant_certificate_needs_commutative_unit():
@@ -390,7 +441,7 @@ KV1_LEVELS = (
      for n, d in ((1, 1), (1, 2), (1, 3))]
     + [(label, 2, 1) for label in sorted(RINGS)
        if label not in ("tower3", "upper3_z2")]
-    + [("sq0_z2", 2, 2), ("z2_unital", 2, 2)])
+    + [("sq0_z2", 2, 2), ("z2_unital", 2, 2), ("z3_unital", 2, 2)])
 
 
 @pytest.mark.parametrize("label,n,d", KV1_LEVELS)
@@ -403,6 +454,36 @@ def test_kv1_matches_unpruned_reference(label, n, d):
     assert pres.reps == reps
     assert pres.class_map == class_map
     assert pres.invariant_factors == inv
+
+
+@pytest.mark.parametrize("label", ["tower3", "upper3_z2"])
+def test_kv1_on_4096_element_groups(label):
+    pres = kv1_approx(RINGS[label], 2, 1)
+    assert pres.group.order() == 4096
+    assert pres.order == 1
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("label", ["graded_dual", "z2_unital", "z3_unital",
+                                   "z4_unital"])
+def test_endpoint_filter_skips_only_paths_that_are_not_quasi_invertible(
+        label, n, d):
+    # a nonzero end outside _path_ends, in GL_n(A) or not, never ends a
+    # quasi-invertible path
+    ring = RINGS[label]
+    group = gl_group(ring, n)
+    ends = _path_ends(group)
+    pring, candidates = _path_candidates(ring, n, d)
+    by_determinant = 0
+    for pm in candidates:
+        end = tuple(tuple(constant_of(ring, evaluate(ring, p, "t", 1))
+                          for p in row) for row in pm)
+        if end == mat_zero(ring, n) or group._encode(end) in ends:
+            continue
+        assert quasi_inverse(pring, pm).status == "not_qi"
+        by_determinant += end in group.index
+    # 1 + N is all of A^x for F_2, Z/4 and F_2[v]/(v^2), but not for F_3
+    assert (by_determinant > 0) == (label == "z3_unital")
 
 
 @pytest.mark.parametrize("label,n", [("two_z8", 2), ("tower2", 2),
@@ -433,6 +514,17 @@ def test_finite_quasi_inverse_matches_the_cascade(label, n):
     group = gl_group(ring, n)
     assert group.elements == sorted(expected)
     assert group.witnesses == expected
+
+
+@pytest.mark.parametrize("label,n", [(label, 1) for label in sorted(RINGS)]
+                         + [("sq0_z2", 2), ("z2_unital", 2),
+                            ("z3_unital", 2)])
+def test_coded_product_decodes_to_circle(label, n):
+    ring = RINGS[label]
+    group = gl_group(ring, n)
+    for a in group.elements:
+        for b in group.elements:
+            assert group.op(a, b) == circle(ring, a, b)
 
 
 def _upper_triangular_f2():

@@ -131,3 +131,53 @@ def test_constructions_take_no_variable_names():
                  for p in inspect.signature(f).parameters
                  if p in NAME_PARAMETERS]
     assert offenders == []
+
+
+# the kinds of per-ring table named in FiniteRing.__init__; code tables
+# for GL groups live on the CircleGroup, so that rings that never build
+# one (hom enumeration, homotopy search) pay nothing for them
+DERIVED_KINDS = {"gl", "checks", "annihilator"}
+
+
+def _derived_key_kinds(func):
+    """The first element of each key that func writes into some
+    .derived, a key held in a local name resolved through its
+    assignment; None for a key of any other shape."""
+    names = {t.id: node.value for node in ast.walk(func)
+             if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript) and _is_derived(node.value) \
+                and isinstance(node.ctx, ast.Store):
+            key = node.slice
+        elif isinstance(node, ast.Call) and _is_derived(
+                getattr(node.func, "value", None)) \
+                and node.func.attr not in ("get", "items", "keys", "values"):
+            key = node.args[0] if node.func.attr == "setdefault" else None
+        else:
+            continue
+        if isinstance(key, ast.Name):
+            key = names.get(key.id)
+        yield (key.elts[0].value if isinstance(key, ast.Tuple)
+               and key.elts and isinstance(key.elts[0], ast.Constant)
+               else None)
+
+
+def _is_derived(node):
+    return isinstance(node, ast.Attribute) and node.attr == "derived"
+
+
+def test_per_ring_tables_are_the_three_named_kinds():
+    """Every key written to a ring's derived tables is ("gl", n),
+    ("checks", top) or ("annihilator", order), the kinds the comment in
+    FiniteRing.__init__ names; nothing else may move onto FiniteRing."""
+    init = inspect.getsource(hotring.rings.FiniteRing.__init__)
+    assert all(f'("{kind}",' in init for kind in DERIVED_KINDS)
+    kinds = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kinds += [(path.name, func.name, kind) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  for kind in _derived_key_kinds(func)]
+    assert [k for k in kinds if k[2] not in DERIVED_KINDS] == []
+    assert {k[2] for k in kinds} == DERIVED_KINDS

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from hotring import (BudgetExceeded, FuncHom, HomotopyCertificate,
-                     HotringError, NotFoundAtBound, PathRing, RingHom, corpus,
+                     HotringError, NotFoundAtBound, PairRing, PathRing,
+                     RingHom, corpus,
                      enumerate_homs, flip_certificate, graded_certificate,
                      homotopy_classes,
                      identity_hom, path_contraction_certificate,
@@ -264,6 +265,15 @@ def test_constant_certificate_of_func_homs():
         for a in r.elements():
             assert cert.endpoint(0).apply(a) == cert.endpoint(1).apply(a) \
                 == h.apply(a)
+
+
+def test_constant_certificate_into_a_pair_ring_is_a_typed_error():
+    # the carrier of a pair ring is a pair of carriers, which a lifted
+    # constant does not fit; refused where the hom is first seen
+    pair = PairRing(RINGS["z2_unital"], RINGS["z3_unital"])
+    with pytest.raises(HotringError, match=r"constant_certificate .*"
+                       r"\(z2_unital x z3_unital\) is a pair ring"):
+        constant_certificate(identity_hom(pair))
 
 
 def test_search_up_to_prefers_lowest_degree():

@@ -4,7 +4,8 @@ import pytest
 
 from hotring import (DepthExceeded, FibrationFamily, FuncHom,
                      HomotopyCertificate, HotringError, K0Diagram, LoopRing,
-                     NotSurjective, PathRing, Poly, PolyRing, RingHom,
+                     NotSurjective, PairRing, PathRing, Poly, PolyRing,
+                     RingHom,
                      check_axioms, compose, corpus, enumerate_homs, factorize,
                      gl_fibration_flag, identity_hom, k0_presentation,
                      mapping_path, octahedron, puppe, rotate,
@@ -35,6 +36,13 @@ def test_factorize_identity():
     # preimage witness (0, a x) maps back to a under p
     for a in r.elements():
         assert fac.p.apply(fac.section.apply(a)) == a
+
+
+def test_factorize_into_a_pair_ring_is_a_typed_error():
+    pair = PairRing(RINGS["z2_unital"], RINGS["z3_unital"])
+    with pytest.raises(HotringError, match=r"factorize .*"
+                       r"\(z2_unital x z3_unital\) is a pair ring"):
+        factorize(identity_hom(pair))
 
 
 def test_factorize_zero_map():
