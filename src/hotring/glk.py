@@ -37,12 +37,13 @@ precomputed set (_path_ends), tested once per candidate.
 
 The finite group GL_n(A) runs on integer codes (CircleGroup): an element
 of A is coded by its index in ring.elements(), which is lexicographic,
-so coded matrices sort as the matrices do.  Add and mul tables of codes
-live on the group, so rings that never build a GL group pay nothing for
-them; the circle-power walk, the endpoint sums, the subgroup closure,
-the normality test and the coset partition all run on codes, and only
-the public surface (CircleGroup.elements, witnesses, index, op, inv and
-every Pi0Presentation field) holds matrices.
+so coded matrices sort as the matrices do.  Add and mul tables of codes,
+filled entry by entry on first use, live on the group, so rings that
+never build a GL group pay nothing for them; the circle-power walk, the
+endpoint sums, the subgroup closure, the normality test and the coset
+partition all run on codes, and only the public surface
+(CircleGroup.elements, witnesses, index, op, inv and every
+Pi0Presentation field) holds matrices.
 """
 
 from __future__ import annotations
@@ -346,10 +347,8 @@ class _Lazy(dict):
         return value
 
 
-def _code_table(op, elems, code, full):
-    """op on element codes as table[a][b]: full, or filled on first use."""
-    if full:
-        return [[code[op(x, y)] for y in elems] for x in elems]
+def _code_table(op, elems, code):
+    """op on element codes as table[a][b], each entry filled on first use."""
     return _Lazy(lambda a: _Lazy(lambda b, x=elems[a]: code[op(x, elems[b])]))
 
 
@@ -378,10 +377,10 @@ class CircleGroup:
         self.n = n
         self._elems = list(ring.elements())
         self._code = {x: c for c, x in enumerate(self._elems)}
-        # |A|^2 entries each: for n >= 2 gl_group's budget on |A|^{n^2}
-        # bounds that, at n = 1 it does not, so entries come on first use
-        self._add = _code_table(ring.add, self._elems, self._code, n >= 2)
-        self._mul = _code_table(ring.mul, self._elems, self._code, n >= 2)
+        # up to |A|^2 entries each, which at n = 1 gl_group's budget on
+        # |A|^{n^2} does not bound, so only the entries used are filled
+        self._add = _code_table(ring.add, self._elems, self._code)
+        self._mul = _code_table(ring.mul, self._elems, self._code)
         # entry e = (i, j) of a o b is a_e + b_e + sum_k a_ik b_kj
         self._terms = tuple(
             (i * n + j, tuple((i * n + k, k * n + j) for k in range(n)))
