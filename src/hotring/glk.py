@@ -51,7 +51,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import BadUnit, BudgetExceeded, VerificationFailure
+from .errors import (BadUnit, BudgetExceeded, IndexOutOfRange,
+                     VerificationFailure)
 from .intlin import invariant_factors
 from .poly import Poly, PolyLike, PolyRing, scalar_base_of
 from .rings import FiniteRing, _UnionFind
@@ -510,6 +511,13 @@ class CircleGroup:
                         frontier.append(x)
         return seen, kept
 
+    @functools.cached_property
+    def determinants(self):
+        """Code -> det(I + M) for every M in the group, over a commutative
+        unital A; computed on first use and kept."""
+        return {c: circle_determinant(self.ring, m)
+                for c, m in self._matrix.items()}
+
     def subgroup_closure(self, gens):
         """The subgroup generated by gens, as a _Subgroup."""
         seen, kept = self._generate([self._encode(g) for g in gens])
@@ -542,6 +550,8 @@ def gl_group(ring, n, budget=200_000):
     """GL_n over a finite ring, with witnesses (see CircleGroup).  Kept in
     ring.derived under ("gl", n), so the group lives exactly as long as
     the ring."""
+    if n < 1:
+        raise IndexOutOfRange(f"matrix size {n}")
     if ("gl", n) in ring.derived:
         return ring.derived[("gl", n)]
     count = ring.size() ** (n * n)
@@ -607,8 +617,8 @@ def _path_ends(group):
     if ring.unit is not None and _is_commutative(ring):
         one_plus_n = {ring.add(ring.unit, x) for x in ring.elements()
                       if _is_nilpotent(ring, x)}
-        ends = {c for c in ends
-                if circle_determinant(ring, group._decode(c)) in one_plus_n}
+        dets = group.determinants
+        ends = {c for c in ends if dets[c] in one_plus_n}
     return ends
 
 
@@ -620,6 +630,8 @@ def kv1_approx(ring, n, degree, budget=200_000):
     returned quotient GL_n(A)/H surjects onto the true
     pi_0(GL_n(A[Delta])) and is monotone in the degree bound.
     """
+    if degree < 1:
+        raise IndexOutOfRange(f"path degree {degree}")
     group = gl_group(ring, n, budget=budget)
     pring = PolyRing(ring, ("t",))
 
@@ -713,8 +725,9 @@ def determinant_certificate(pres):
     if ring.unit is None or not _is_commutative(ring):
         raise BadUnit("determinant certificate needs a commutative ring "
                       "with unit")
-    dets_sub = {circle_determinant(ring, h) for h in pres.subgroup}
-    dets_all = {circle_determinant(ring, g) for g in pres.group.elements}
+    dets = pres.group.determinants
+    dets_sub = {dets[pres.group._encode(h)] for h in pres.subgroup}
+    dets_all = set(dets.values())
     return {
         "subgroup_determinants": sorted(dets_sub),
         "determinant_image_order": len(dets_all),

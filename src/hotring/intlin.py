@@ -3,14 +3,14 @@
 Everything works on plain lists of Python ints, so there is no overflow
 and no floating point anywhere.  Sizes here are desk scale (presentations
 of finite abelian groups, relation matrices of small diagrams), so the
-classical pivoting algorithms are plenty.
+classical pivoting algorithm is plenty.
+
+The Smith normal form is the only elimination: solves and kernels are
+read off one (S, U, V), and U^-1 is kept beside U by the same row steps,
+so no second elimination ever inverts a transform.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .errors import HotringError
 
 
 def identity_matrix(n):
@@ -43,44 +43,50 @@ def mat_vec(a, v):
 
 
 def transpose(a):
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]
 
 
 def smith_normal_form(mat):
-    """Return (S, U, V) with U*mat*V = S, U and V unimodular, S diagonal
-    with nonnegative entries s1 | s2 | ... along the diagonal."""
+    """Return (S, U, V, U^-1) with U*mat*V = S, U and V unimodular, S
+    diagonal with nonnegative entries s1 | s2 | ... along the diagonal.
+
+    U is the product of the row steps E, so U^-1 is the product of their
+    inverses in the opposite order: each step applies E^-1 on the right of
+    U^-1, a column step (a swap swaps columns, row[dst] += q*row[src]
+    becomes col[src] -= q*col[dst], a negation negates a column)."""
     a = [list(row) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     u = identity_matrix(m)
+    uinv = identity_matrix(m)
     v = identity_matrix(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        for row in uinv:
+            row[src] -= q * row[dst]
 
     def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
+        for row in a + v:
             row[dst] += q * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(m, n):
@@ -129,76 +135,38 @@ def smith_normal_form(mat):
         if fixed:
             t += 1
 
-    return a, u, v
+    return a, u, v, uinv
 
 
 def invariant_factors(mat):
     """Diagonal of the Smith form, without the transform matrices."""
-    s, _, _ = smith_normal_form(mat)
+    s = smith_normal_form(mat)[0]
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
-def invert_unimodular(mat):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise HotringError("matrix was not unimodular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise HotringError("matrix was not unimodular")
-        out.append([int(x) for x in vals])
-    return out
-
-
 class LinearSolver:
-    """Precomputed Smith form of a matrix, for repeated solves of A x = b."""
+    """Precomputed Smith form of a matrix A, for repeated solves of
+    A x = b and for the kernel of A."""
 
     def __init__(self, mat):
         self.m = len(mat)
         self.n = len(mat[0]) if self.m else 0
-        self.s, self.u, self.v = smith_normal_form(mat)
+        self.s, self.u, self.v, _ = smith_normal_form(mat)
 
     def solve(self, rhs):
         ub = mat_vec(self.u, rhs)
         y = [0] * self.n
         for i in range(self.m):
             si = self.s[i][i] if i < self.n else 0
-            if si == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % si != 0:
-                    return None
+            # S y = U b: s_i divides (U b)_i, which is 0 where s_i is
+            if (ub[i] % si if si else ub[i]) != 0:
+                return None
+            if si:
                 y[i] = ub[i] // si
         return mat_vec(self.v, y)
 
-
-def solve_integer(mat, rhs):
-    """One integer solution x of mat*x = rhs, or None if there is none."""
-    return LinearSolver(mat).solve(rhs)
-
-
-def kernel_basis(mat):
-    """Basis (list of vectors) of {x in Z^n : mat*x = 0}."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    s, _, v = smith_normal_form(mat)
-    cols = []
-    for j in range(n):
-        sj = s[j][j] if j < m else 0
-        if sj == 0:
-            cols.append([v[i][j] for i in range(n)])
-    return cols
+    def kernel(self):
+        """Basis (list of vectors) of {x in Z^n : A x = 0}: the columns of
+        V whose diagonal entry of S is zero."""
+        return [[row[j] for row in self.v] for j in range(self.n)
+                if j >= self.m or self.s[j][j] == 0]

@@ -18,8 +18,8 @@ import itertools
 
 from .errors import (BadUnit, BudgetExceeded, HotringError, IllDefined,
                      MalformedInput, NotAssociative, VerificationFailure)
-from .intlin import (LinearSolver, invert_unimodular, kernel_basis, mat_vec,
-                     smith_normal_form, transpose)
+from .intlin import (LinearSolver, identity_matrix, mat_vec, smith_normal_form,
+                     transpose)
 
 
 class Ring:
@@ -625,19 +625,21 @@ class SubgroupPresentation:
 
     def __init__(self, ambient_orders, vectors):
         vectors = [tuple(v) for v in vectors]
-        self._m = len(vectors)
-        self._relations = QuotientPresentation(
-            (0,) * self._m, _integer_kernel(vectors, ambient_orders))
+        m = self._m = len(vectors)
+        # one Smith form of the relation matrix gives both the relations
+        # among the vectors (its kernel) and coords (its solves)
         self._solver = LinearSolver(_relation_matrix(vectors, ambient_orders))
+        relations = ([col[:m] for col in self._solver.kernel()]
+                     if ambient_orders else identity_matrix(m))
+        self._relations = QuotientPresentation((0,) * m, relations)
         self.orders = self._relations.orders
         # the new basis: the columns of U^-1 kept by the quotient, pushed
         # through the vectors
-        keep = self._relations._keep
-        uinv = invert_unimodular(self._relations._u) if keep else None
+        uinv = self._relations._uinv
         self.gens = [tuple(sum(uinv[r][i] * vec[l]
                                for r, vec in enumerate(vectors)) % d
                            for l, d in enumerate(ambient_orders))
-                     for i in keep]
+                     for i in self._relations._keep]
 
     def size(self):
         n = 1
@@ -665,13 +667,15 @@ def _order_columns(orders):
             for i, d in enumerate(orders) if d]
 
 
-def _integer_kernel(vectors, orders):
-    """Integer vectors x, unreduced, with sum_i x_i vectors[i] = 0 modulo
-    the orders; the unit vectors when there are no orders at all."""
-    n = len(vectors)
-    if not orders:
-        return [[int(l == t) for l in range(n)] for t in range(n)]
-    return [col[:n] for col in kernel_basis(_relation_matrix(vectors, orders))]
+def _kernel_presentation(source_orders, images, target_orders):
+    """The x in ⊕ Z/source_orders with sum_i x_i images[i] = 0 modulo the
+    target orders, as a SubgroupPresentation."""
+    n = len(images)
+    kernel = (identity_matrix(n) if not target_orders else
+              [col[:n] for col in
+               LinearSolver(_relation_matrix(images, target_orders)).kernel()])
+    return SubgroupPresentation(source_orders, [
+        tuple(x % d for x, d in zip(v, source_orders)) for v in kernel])
 
 
 class QuotientPresentation:
@@ -684,29 +688,22 @@ class QuotientPresentation:
     """
 
     def __init__(self, ambient_orders, sub_vectors):
-        self.ambient_orders = tuple(ambient_orders)
-        k = len(self.ambient_orders)
-        if k == 0:
-            self.orders, self.lifts, self._u, self._s, self._keep = (), [], None, (), []
-            return
-        cols = _order_columns(self.ambient_orders)
-        cols += [list(v) for v in sub_vectors]
-        s, u, _ = smith_normal_form(transpose(cols or [[0] * k]))
+        self.ambient_orders = orders = tuple(ambient_orders)
+        k = len(orders)
+        cols = _order_columns(orders) + [list(v) for v in sub_vectors]
+        s, u, _, uinv = smith_normal_form(transpose(cols or [[0] * k]))
         diag = [s[i][i] if i < len(s[i]) else 0 for i in range(k)]
         self._u = u
+        self._uinv = uinv
         self._s = diag
         self._keep = [i for i in range(k) if diag[i] != 1]
         self.orders = tuple(diag[i] for i in self._keep)
         self.lifts = None
-        if all(self.ambient_orders):
-            uinv = invert_unimodular(u)
-            self.lifts = [tuple(uinv[r][i] % d
-                                for r, d in enumerate(self.ambient_orders))
+        if all(orders):
+            self.lifts = [tuple(uinv[r][i] % d for r, d in enumerate(orders))
                           for i in self._keep]
 
     def project(self, v):
-        if not self._keep:
-            return ()
         return self._reduce(mat_vec(self._u, list(v)))
 
     def project_gen(self, i):
@@ -748,17 +745,10 @@ def quotient(ring, ideal_gens, label=None):
     """
     ideal = ideal_closure(ring, list(ideal_gens))
     pres = QuotientPresentation(ring.orders, sorted(ideal))
-    k = len(pres.orders)
-    lifts = pres.lifts
-    table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            row.append(pres.project(ring.mul(lifts[i], lifts[j])))
-        table.append(tuple(row))
     unit_coords = pres.project(ring.unit) if ring.unit is not None else None
-    q = validate_ring(pres.orders, table, unit=unit_coords,
-                      label=label or f"{ring.label}/I")
+    q = _ring_from_group(pres.orders, pres.lifts, ring.mul, pres.project,
+                         unit_coords=unit_coords,
+                         label=label or f"{ring.label}/I")
     proj = RingHom(ring, q, [pres.project_gen(i) for i in range(ring.ngens)],
                    label="proj")
     proj.validate()
@@ -778,11 +768,10 @@ def pullback(f, g, label=None):
     ka = a_ring.ngens
     orders = a_ring.orders + b_ring.orders
 
-    # integer kernel of (a, b) -> f(a) - g(b) modulo the orders of C
-    images = list(f.images) + [c_ring.neg(y) for y in g.images]
-    pres = SubgroupPresentation(orders, [
-        tuple(x % d for x, d in zip(v, orders))
-        for v in _integer_kernel(images, c_ring.orders)])
+    # the kernel of (a, b) -> f(a) - g(b)
+    pres = _kernel_presentation(
+        orders, list(f.images) + [c_ring.neg(y) for y in g.images],
+        c_ring.orders)
 
     def host_mul(x, y):
         return (a_ring.mul(x[:ka], y[:ka]) + b_ring.mul(x[ka:], y[ka:]))
@@ -844,9 +833,7 @@ def kernel_subring(f, label=None):
     coords the partial inverse (None off the kernel).
     """
     src, tgt = f.source, f.target
-    pres = SubgroupPresentation(src.orders, [
-        tuple(x % d for x, d in zip(v, src.orders))
-        for v in _integer_kernel(f.images, tgt.orders)])
+    pres = _kernel_presentation(src.orders, f.images, tgt.orders)
     kr = _ring_from_group(pres.orders, pres.gens, src.mul, pres.coords,
                           label=label or f"ker({f.label or f'{src.label}->{tgt.label}'})")
     incl = RingHom(kr, src, pres.gens, label="incl")

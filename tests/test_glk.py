@@ -9,11 +9,11 @@ import weakref
 import pytest
 
 import hotring
-from hotring import (BadUnit, CircleGroup, NotAssociative, PolyRing, QiMatrix,
-                     VerificationFailure, circle, circle_determinant, corpus,
-                     determinant_certificate, enumerate_homs, gl_group,
-                     homotopy_classes, kv1_approx, quasi_inverse, stabilize,
-                     strict_pi0, validate_ring)
+from hotring import (BadUnit, CircleGroup, IndexOutOfRange, NotAssociative,
+                     PolyRing, QiMatrix, VerificationFailure, circle,
+                     circle_determinant, corpus, determinant_certificate,
+                     enumerate_homs, gl_group, homotopy_classes, kv1_approx,
+                     quasi_inverse, stabilize, strict_pi0, validate_ring)
 from hotring.glk import (_path_ends, _poly_matrix, _quotient_invariants,
                          is_circle_witness, mat_zero)
 from hotring.poly import constant_of, evaluate
@@ -352,6 +352,40 @@ def test_group_axioms_catch_a_non_associative_ring():
 def test_determinant_certificate_needs_commutative_unit():
     with pytest.raises(BadUnit):
         determinant_certificate(kv1_approx(RINGS["sq0_z2"], 1, 1))
+
+
+@pytest.mark.parametrize("build,bad", [
+    (lambda r: kv1_approx(r, 1, 0), "path degree 0"),
+    (lambda r: kv1_approx(r, 0, 1), "matrix size 0"),
+    (lambda r: gl_group(r, 0), "matrix size 0"),
+    (lambda r: gl_group(r, -1), "matrix size -1")],
+    ids=["kv1-degree-0", "kv1-size-0", "gl-size-0", "gl-size-negative"])
+def test_degenerate_levels_are_typed_errors(build, bad):
+    with pytest.raises(IndexOutOfRange, match=bad):
+        build(RINGS["z3_unital"])
+
+
+@pytest.mark.parametrize("label", ["graded_dual", "z3_unital", "z4_unital"])
+def test_determinants_once_per_group_element(label, monkeypatch):
+    # the endpoint filter and the side certificate read one map on the
+    # group, and the certificate keeps the values of a direct computation
+    ring = corpus()[label]
+    seen = []
+
+    def counted(r, m):
+        seen.append(m)
+        return circle_determinant(r, m)
+
+    monkeypatch.setattr(hotring.glk, "circle_determinant", counted)
+    pres = kv1_approx(ring, 2, 1)
+    cert = determinant_certificate(pres)
+    assert sorted(seen) == pres.group.elements
+    dets_sub = {circle_determinant(ring, h) for h in pres.subgroup}
+    dets_all = {circle_determinant(ring, g) for g in pres.group.elements}
+    assert cert == {"subgroup_determinants": sorted(dets_sub),
+                    "determinant_image_order": len(dets_all),
+                    "subgroup_in_kernel": dets_sub == {ring.unit},
+                    "lower_bound_matches": len(dets_all) <= pres.order}
 
 
 def test_glk_checks_survive_optimized_python():

@@ -51,6 +51,25 @@ def test_no_assert_in_polynomial_modules():
     assert offenders == []
 
 
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_fractions():
+    """Exact ints and intlin's Smith normal form are the only elimination:
+    no module solves, inverts or reduces over Fraction."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{name}" for name in _imported_modules(tree)
+                      if name.split(".")[0] == "fractions"]
+    assert offenders == []
+
+
 # The only functions outside poly.py that may ask whether a ring is
 # polynomial-shaped.  Everything else goes through poly.lift, poly.lower
 # and poly.scalar_base_of, which decide how a ring sits inside R[x].

@@ -1,12 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from hotring import HotringError
-from hotring.intlin import (identity_matrix, invariant_factors,
-                            invert_unimodular, kernel_basis, mat_mul, mat_vec,
-                            smith_normal_form, solve_integer)
+from hotring.intlin import (LinearSolver, identity_matrix, invariant_factors,
+                            mat_mul, mat_vec, smith_normal_form)
 
 from oracles import minors_gcd_invariants
 
@@ -42,9 +38,10 @@ def test_snf_transform_identity_and_divisibility():
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         a = random_matrix(rng, m, n)
-        s, u, v = smith_normal_form(a)
+        s, u, v, uinv = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == s
         assert _is_unimodular(u) and _is_unimodular(v)
+        assert mat_mul(u, uinv) == mat_mul(uinv, u) == identity_matrix(m)
         diag = [s[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
@@ -65,6 +62,21 @@ def test_invariant_factors_match_minor_gcd_oracle():
         assert invariant_factors(a) == minors_gcd_invariants(a)
 
 
+def test_snf_inverse_on_wide_tall_and_fixup_matrices():
+    """U^-1 comes from the elimination itself; it must be the inverse on
+    wide, tall, zero and divisibility-fix-up matrices alike."""
+    rng = random.Random(13)
+    cases = [[[0, 0], [0, 0]], [[2, 0], [0, 3]], [[4, 6, 10]],
+             [[4], [6], [10]], [[2, 4], [4, 2], [6, 8]]]
+    cases += [random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7),
+                            -30, 30) for _ in range(200)]
+    for a in cases:
+        s, u, v, uinv = smith_normal_form(a)
+        ident = identity_matrix(len(a))
+        assert mat_mul(u, uinv) == ident and mat_mul(uinv, u) == ident
+        assert mat_mul(uinv, s) == mat_mul(a, v)
+
+
 def test_solve_integer():
     rng = random.Random(3)
     for _ in range(60):
@@ -73,11 +85,11 @@ def test_solve_integer():
         a = random_matrix(rng, m, n)
         x = [rng.randrange(-3, 4) for _ in range(n)]
         b = mat_vec(a, x)
-        sol = solve_integer(a, b)
+        sol = LinearSolver(a).solve(b)
         assert sol is not None
         assert mat_vec(a, sol) == b
-    assert solve_integer([[2]], [1]) is None
-    assert solve_integer([[0]], [5]) is None
+    assert LinearSolver([[2]]).solve([1]) is None
+    assert LinearSolver([[0]]).solve([5]) is None
 
 
 def test_kernel_basis():
@@ -86,28 +98,12 @@ def test_kernel_basis():
         m = rng.randrange(1, 4)
         n = rng.randrange(1, 5)
         a = random_matrix(rng, m, n)
-        basis = kernel_basis(a)
+        basis = LinearSolver(a).kernel()
         for vec in basis:
             assert mat_vec(a, vec) == [0] * m
         # rank-nullity over Q
         rank = len([d for d in invariant_factors(a) if d != 0])
         assert len(basis) == n - rank
-
-
-def test_invert_unimodular_roundtrip():
-    rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randrange(1, 5)
-        a = random_matrix(rng, n, n)
-        _, u, _ = smith_normal_form(a)
-        uinv = invert_unimodular(u)
-        assert mat_mul(u, uinv) == identity_matrix(n)
-
-
-def test_invert_unimodular_rejects_other_matrices():
-    for mat in ([[2]], [[0]], [[1, 1], [1, 1]], [[2, 1], [0, 1]]):
-        with pytest.raises(HotringError, match="not unimodular"):
-            invert_unimodular(mat)
 
 
 def test_mat_vec_matches_dense_sum():

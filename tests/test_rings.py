@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from hotring import intlin
 from hotring import (BadUnit, BudgetExceeded, HotringError, IllDefined,
                      MalformedInput, NotAssociative, RingHom, TruncatedPuppe,
                      VerificationFailure, additive_closure, canonicalize,
@@ -287,7 +289,8 @@ def test_kernel_subring():
 def test_presentations_on_empty_matrices():
     from hotring.rings import QuotientPresentation, SubgroupPresentation
     # no ambient coordinates at all
-    assert QuotientPresentation((), []).orders == ()
+    empty = QuotientPresentation((), [])
+    assert (empty.orders, empty.lifts, empty.project(())) == ((), [], ())
     assert SubgroupPresentation((), []).orders == ()
     # nothing to quotient by, and the trivial subgroup
     assert QuotientPresentation((2, 3), []).orders == (6,)
@@ -301,6 +304,41 @@ def test_presentations_on_empty_matrices():
     ker, incl, _ = kernel_subring(zero_hom(r, zero_ring()))
     assert ker.size() == r.size()
     assert sorted(incl.apply(x) for x in ker.elements()) == sorted(r.elements())
+
+
+def _count_smith_forms(monkeypatch):
+    """Record each Smith normal form, wherever a module binds it."""
+    calls, real = [], intlin.smith_normal_form
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hotring" \
+                and getattr(mod, "smith_normal_form", None) is real:
+            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    return calls
+
+
+def test_one_smith_form_per_integer_presentation(monkeypatch):
+    """A fibre product or kernel ring takes three Smith forms: the kernel
+    of the images, then one for the subgroup's relations and solves and
+    one for its basis and U^-1.  canonicalize needs no kernel of images,
+    and a quotient takes one."""
+    calls = _count_smith_forms(monkeypatch)
+    h, k = tower_homs(RINGS)
+    t3 = RINGS["tower3"]
+    for build, expected in [
+            (lambda: pullback(h, h), 3),
+            (lambda: pullback(compose(k, h), k), 3),
+            (lambda: kernel_subring(h), 3),
+            (lambda: kernel_subring(k), 3),
+            (lambda: canonicalize(RINGS["graded_dual"]), 2),
+            (lambda: quotient(t3, [t3.gen(0)]), 1)]:
+        calls.clear()
+        build()
+        assert len(calls) == expected
 
 
 def test_product_ring():
