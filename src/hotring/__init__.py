@@ -39,7 +39,7 @@ from .triangle import (FibrationFamily, K0Diagram, K0Result, LeftTriangle,
                        check_axioms, factorize, gl_fibration_flag,
                        k0_presentation, mapping_path, octahedron, puppe,
                        rotate, rotation_witness, standard_triangle,
-                       truncated_loop_ring, truncated_path_ring)
+                       truncated_path_ring)
 from .corpus import corpus, tower_homs, GRADING
 
 __version__ = "0.1.0"

@@ -114,15 +114,9 @@ class HomotopyCertificate:
 
     def endpoint(self, bit):
         ring = self.target
-        if isinstance(self.hom, RingHom):
-            images = [eval_endpoint(ring, img, self.var, bit)
-                      for img in self.hom.images]
-            return RingHom(self.hom.source, ring, images,
-                           label=f"d{bit}(h)")
-        return FuncHom(self.hom.source, ring,
-                       lambda x: eval_endpoint(ring, self.hom.apply(x),
-                                               self.var, bit),
-                       label=f"d{bit}(h)")
+        evaluate_at = FuncHom(self.hom.target, ring,
+                              lambda v: eval_endpoint(ring, v, self.var, bit))
+        return compose(evaluate_at, self.hom, label=f"d{bit}(h)")
 
     def __repr__(self):
         return (f"<homotopy {self.f0.label or 'f0'} ~ {self.f1.label or 'f1'}"
@@ -225,14 +219,8 @@ def flip_certificate(cert):
             raise NotImplementedError("flip on pair targets not needed")
         return substitute(scalar_base_of(ring), v, sub)
 
-    if isinstance(cert.hom, RingHom):
-        h = RingHom(cert.hom.source, cert.hom.target,
-                    [flip_value(img) for img in cert.hom.images],
-                    label=f"flip({cert.hom.label})")
-    else:
-        h = FuncHom(cert.hom.source, cert.hom.target,
-                    lambda x: flip_value(cert.hom.apply(x)),
-                    label=f"flip({cert.hom.label})")
+    h = compose(FuncHom(cert.hom.target, cert.hom.target, flip_value),
+                cert.hom, label=f"flip({cert.hom.label})")
     return HomotopyCertificate(h, cert.f1, cert.f0, cert.var)
 
 
@@ -260,13 +248,8 @@ def constant_certificate(f):
                            f"its target {ring.label} is a pair ring, which "
                            "the constant homotopy does not support")
     var = fresh_var("t", ring)
-    carrier = carrier_ring(ring, var)
-    if isinstance(f, RingHom):
-        h = RingHom(f.source, carrier, [lift(ring, img) for img in f.images],
-                    label="const")
-    else:
-        h = FuncHom(f.source, carrier, lambda x: lift(ring, f.apply(x)),
-                    label="const")
+    h = compose(FuncHom(ring, carrier_ring(ring, var),
+                        lambda v: lift(ring, v)), f, label="const")
     return HomotopyCertificate(h, f, f, var)
 
 
@@ -461,12 +444,11 @@ def homotopy_classes(homs, degree, budget=200_000):
     return ClassesResult(homs, uf, edges, degree)
 
 
-def search_homotopy_equivalence(f, candidates, degree, budget=200_000,
-                                chain_cap=4):
+def search_homotopy_equivalence(f, candidates, degree, budget=200_000):
     """Find g with f g ~ id and g f ~ id among the candidate homs S -> R.
 
     Uses the class closure on both endomorphism sets; chains longer than
-    chain_cap are rejected.  Returns (g, chain_fg, chain_gf) or
+    4 certificates are rejected.  Returns (g, chain_fg, chain_gf) or
     NotFoundAtBound."""
     from .rings import enumerate_homs
 
@@ -487,7 +469,7 @@ def search_homotopy_equivalence(f, candidates, degree, budget=200_000,
         if end_s.same_class(fg, id_s) and end_r.same_class(gf, id_r):
             chain_fg = end_s.chain_between(fg, id_s)
             chain_gf = end_r.chain_between(gf, id_r)
-            if len(chain_fg) <= chain_cap and len(chain_gf) <= chain_cap:
+            if len(chain_fg) <= 4 and len(chain_gf) <= 4:
                 return g, chain_fg, chain_gf
     return NotFoundAtBound(degree, searched)
 

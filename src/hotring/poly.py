@@ -415,11 +415,11 @@ class PolyRing(PolyLike):
     def contains(self, p):
         return isinstance(p, Poly) and self._coeffs_ok(p)
 
-    def sample(self, rng, n_terms=3, max_exp=2):
+    def sample(self, rng):
         acc = self.zero()
-        for _ in range(rng.randrange(1, n_terms + 1)):
+        for _ in range(rng.randrange(1, 4)):
             c = self.scalar_base.sample(rng)
-            mono = tuple((v, rng.randrange(1, max_exp + 1))
+            mono = tuple((v, rng.randrange(1, 3))
                          for v in self.vars if rng.random() < 0.5)
             acc = self.add(acc, self.monomial(c, mono))
         return acc

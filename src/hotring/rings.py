@@ -189,15 +189,17 @@ class FiniteRing(Ring):
     def sample(self, rng):
         return tuple(rng.randrange(d) for d in self.orders)
 
-    def nilpotency_class(self, cap=64):
+    def nilpotency_class(self):
         """Smallest e with all e-fold products zero, or None.
 
         Left-normed products of generators span the span of all m-fold
         products, so the chain is computed from generator words only.
+        The spans A ⊇ A² ⊇ … only shrink until one repeats, so the loop
+        ends within log₂|A| + 1 steps.
         """
         words = [self.gen(i) for i in range(self.ngens)]
         seen = None
-        for m in range(1, cap + 1):
+        for m in itertools.count(1):
             span = additive_closure(self, words)
             if span == {self.zero()}:
                 return m
@@ -207,7 +209,6 @@ class FiniteRing(Ring):
             words = [self.mul(self.gen(i), w)
                      for i in range(self.ngens) for w in words]
             words = sorted(set(words))
-        return None
 
 
 def zero_ring(label="0"):

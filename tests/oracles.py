@@ -324,3 +324,29 @@ def _coefficient(base, p, var, e):
             return c
     return base.zero()
 
+
+def int_poly_mul(p, q):
+    """Product of integer polynomials given as coefficient lists, lowest
+    degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def idempotent_power_remainder(e, m):
+    """Coefficients of the remainder of x^e on integer long division by
+    (x^2-x)^m, lowest degree first, padded to length 2m.  The divisor is
+    multiplied out factor by factor, not read off the binomial theorem."""
+    divisor = [1]
+    for _ in range(m):
+        divisor = int_poly_mul(divisor, [0, -1, 1])
+    n = len(divisor) - 1
+    rem = [0] * e + [1]
+    while len(rem) > n:
+        lead = rem.pop()                 # the divisor is monic
+        shift = len(rem) - n
+        for k, a in enumerate(divisor[:-1]):
+            rem[shift + k] -= lead * a
+    return rem + [0] * (n - len(rem))

@@ -1,7 +1,10 @@
 import random
+import sys
 
 import pytest
 
+from hotring import rings as rings_module
+from hotring import triangle as triangle_module
 from hotring import (DepthExceeded, FibrationFamily, FuncHom,
                      HomotopyCertificate, HotringError, K0Diagram, LoopRing,
                      NotSurjective, PairRing, PathRing, Poly, PolyRing,
@@ -18,7 +21,7 @@ from hotring.poly import (double_loop_ring, evaluate, fresh_var,
                           swap_homotopy, tau_hom)
 from hotring.triangle import minus_omega_hom, omega_hom
 
-from oracles import minors_gcd_invariants
+from oracles import idempotent_power_remainder, minors_gcd_invariants
 
 RINGS = corpus()
 H_TOWER, K_TOWER = tower_homs(RINGS)
@@ -251,6 +254,79 @@ def test_truncated_puppe_kernel_exactness_tower():
     tp = TruncatedPuppe(H_TOWER, 3, m=2)
     result = tp.verify_kernel_exactness()
     assert result["ok"], result
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["sq0_z2", "tower2"])
+def test_truncated_reduction_matches_long_division(name, m):
+    # every exponent a product of two generators reaches, e <= 4m - 2
+    c = RINGS[name]
+    ring, _, include = truncated_path_ring(c, m)
+    for e in range(1, 4 * m - 1):
+        rem = idempotent_power_remainder(e, m)
+        assert rem[0] == 0
+        for i in range(c.ngens):
+            expected = ring.zero()
+            for b in range(1, 2 * m):
+                expected = ring.add(expected,
+                                    ring.scalar(rem[b], include(i, b)))
+            assert include(i, e) == expected, (e, i)
+
+
+def _tampered_j(tp, idx, images):
+    stage, rho, _, loops = tp.stages[idx]
+    tp.stages[idx] = (stage, rho, RingHom(loops, stage, images, label="j"),
+                      loops)
+
+
+def test_kernel_exactness_reports_image_outside_kernel():
+    tp = TruncatedPuppe(H_TOWER, 2, m=2)
+    stage, rho, j, _ = tp.stages[1]
+    outside = next(x for x in (stage.gen(i) for i in range(stage.ngens))
+                   if not rho.target.is_zero(rho.apply(x)))
+    _tampered_j(tp, 1, [outside, outside] + list(j.images[2:]))
+    assert tp.verify_kernel_exactness() == {"ok": False, "failures": [
+        (1, "rho o j != 0", 0), (1, "rho o j != 0", 1), (1, 32, 64)]}
+
+
+def test_kernel_exactness_reports_order_mismatch_only():
+    tp = TruncatedPuppe(H_TOWER, 2, m=2)
+    stage, _, j, _ = tp.stages[0]
+    _tampered_j(tp, 0, [stage.zero()] + list(j.images[1:]))
+    assert tp.verify_kernel_exactness() == {"ok": False,
+                                            "failures": [(0, 8, 16)]}
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record each call of module.name, wherever a hotring module binds it."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "hotring" \
+                and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_truncated_puppe_builds_each_ring_once(monkeypatch):
+    """One truncated path ring per stage; kernel exactness builds no ring;
+    pointed-set exactness enumerates the homs into each ring once."""
+    paths = _count_calls(monkeypatch, triangle_module, "truncated_path_ring")
+    tp = TruncatedPuppe(H_TOWER, 3, m=2)
+    assert len(paths) == 3
+    kernels = _count_calls(monkeypatch, rings_module, "kernel_subring")
+    validated = _count_calls(monkeypatch, rings_module, "validate_ring")
+    assert tp.verify_kernel_exactness()["ok"]
+    assert (len(kernels), len(validated)) == (0, 0)
+    enumerated = _count_calls(monkeypatch, rings_module, "enumerate_homs")
+    exact = TruncatedPuppe(H_TOWER, 2, m=2).pointed_set_exactness(
+        RINGS["sq0_z2"])
+    assert exact["ok"]
+    assert len(enumerated) == 4
 
 
 # ---------------------------------------------------------------------------
