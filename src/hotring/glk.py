@@ -18,9 +18,9 @@ onto the true pi_0 at its size level and is monotone in the degree bound.
 Quasi-invertibility is decided completely and with no budget.  Over a
 finite ring the circle powers of M decide (see _circle_powers), and
 gl_group walks those powers so that each matrix is decided once.  Over
-A[t], whose circle monoid is infinite, adjugate and determinant decide
-when A is commutative with a unit, and the t-adic recurrence of the
-quasi-inverse otherwise (see _t_adic_quasi_inverse); so no path
+A[t], whose circle monoid is infinite, the t-adic recurrence of the
+quasi-inverse decides on every finite A (see _t_adic_quasi_inverse),
+run on the integer codes of its coefficient matrices; so no path
 candidate is ever skipped as undecided.
 
 Path candidates are filtered by their end P(1), the sum of their
@@ -40,8 +40,9 @@ of A is coded by its index in ring.elements(), which is lexicographic,
 so coded matrices sort as the matrices do.  Add and mul tables of codes,
 filled entry by entry on first use, live on the group, so rings that
 never build a GL group pay nothing for them; the circle-power walk, the
-endpoint sums, the subgroup closure, the normality test and the coset
-partition all run on codes, and only the public surface
+endpoint sums, the t-adic recurrence, the subgroup closure, the
+normality test and the coset partition all run on codes, and only the
+public surface
 (CircleGroup.elements, witnesses, index, op, inv and every
 Pi0Presentation field) holds matrices.
 """
@@ -54,7 +55,7 @@ import itertools
 from .errors import (BadUnit, BudgetExceeded, IndexOutOfRange,
                      VerificationFailure)
 from .intlin import invariant_factors
-from .poly import Poly, PolyLike, PolyRing, scalar_base_of
+from .poly import Poly, PolyLike
 from .rings import FiniteRing, _UnionFind
 
 
@@ -155,51 +156,6 @@ def _perm_sign(perm):
     return -1 if inversions % 2 else 1
 
 
-def _minor(mat, i, j):
-    return tuple(tuple(x for c, x in enumerate(row) if c != j)
-                 for r, row in enumerate(mat) if r != i)
-
-
-def _adjugate(ring, mat):
-    n = len(mat)
-    if n == 1:
-        return ((ring.const(ring.scalar_base.unit),),)
-    return tuple(tuple(ring.scalar((-1) ** (i + j),
-                                   _det(ring, _minor(mat, j, i)))
-                       for j in range(n)) for i in range(n))
-
-
-def _unit_matrix_shift(ring, m):
-    """I + M over a ring that really has a unit element."""
-    unit = scalar_base_of(ring).unit
-    if isinstance(ring, PolyLike):
-        unit = ring.const(unit)
-    return tuple(tuple(ring.add(e, unit) if i == j else e
-                       for j, e in enumerate(row)) for i, row in enumerate(m))
-
-
-def _invert_in_unital(ring, u):
-    """Multiplicative inverse of u in A[t], A finite, commutative and
-    unital; None when u is not a unit.  Complete: a polynomial is a unit
-    exactly when its constant term is a unit and every higher coefficient
-    is nilpotent."""
-    base = ring.scalar_base
-    u0 = next((c for mono, c in u.terms if not mono), base.zero())
-    inv0 = next((v for v in base.elements() if base.mul(u0, v) == base.unit),
-                None)
-    if inv0 is None:
-        return None
-    w = ring.sub(u, ring.const(u0))
-    if not all(_is_nilpotent(base, c) for _, c in w.terms):
-        return None
-    inv0p = ring.const(inv0)
-    term, acc = ring.const(base.unit), ring.zero()
-    while term != ring.zero():
-        acc = ring.add(acc, term)
-        term = ring.neg(ring.mul(term, ring.mul(inv0p, w)))
-    return ring.mul(inv0p, acc)
-
-
 def _is_nilpotent(ring, x):
     """Whether some power of x is 0; in a finite ring the powers of x
     reach 0 or repeat."""
@@ -232,9 +188,10 @@ def _circle_powers(m, zero, product):
     return list(powers), p == zero
 
 
-def _t_adic_quasi_inverse(ring, m):
-    """The quasi-inverse of m = sum_{e<=D} m_e t^e over A[t], A a finite
-    ring and t the one variable of ring, or None when there is none.
+def _t_adic_quasi_inverse(group, coeffs):
+    """The quasi-inverse w_0, w_1, ... of m = sum_{e<=D} m_e t^e over A[t],
+    D = len(coeffs) - 1, or None when there is none; coeffs and w are
+    coded n x n matrices of group, a CircleGroup over the finite ring A.
 
     Read coefficient by coefficient, m o w = 0 says that w_0 is the
     quasi-inverse of m_0 (evaluation at t = 0 is a ring hom) and, after
@@ -248,25 +205,16 @@ def _t_adic_quasi_inverse(ring, m):
     whose order at least doubles at each strict step, so it is constant
     from L = floor(log2 |A|^{n^2 D}) on: the state at j = D reaches 0
     within L steps or never."""
-    base, var = ring.scalar_base, ring.vars[0]
-    n = len(m)
-    zero = mat_zero(base, n)
-    top = max((p.degree_in(var) for row in m for p in row), default=0)
-    coeffs = [[[base.zero()] * n for _ in range(n)] for _ in range(top + 1)]
-    for r, row in enumerate(m):
-        for c, p in enumerate(row):
-            for mono, x in p.terms:
-                coeffs[mono[0][1] if mono else 0][r][c] = x
-    coeffs = [tuple(map(tuple, a)) for a in coeffs]
-
-    powers, reached_zero = _circle_powers(coeffs[0], zero,
-                                          functools.partial(circle, base))
+    zero, add, mul = group._zero, group._mat_add, group._mat_mul
+    top = len(coeffs) - 1
+    powers, reached_zero = _circle_powers(coeffs[0], zero, group._op)
     if not reached_zero:
         return None
     w = [powers[-1] if powers else zero]
-    q = [mat_neg(base, a if w[0] == zero else
-                 mat_add(base, a, mat_mul(base, w[0], a))) for a in coeffs]
-    last = top + (base.size() ** (n * n * top)).bit_length() - 1
+    q = [group._mat_neg(a if w[0] == zero else mul(w[0], a, a))
+         for a in coeffs]
+    states = len(group._elems) ** (len(zero) * top)
+    last = top + states.bit_length() - 1
     zeros = int(w[0] == zero)         # trailing zero coefficients of w
     j = 0
     while j < top or zeros < top:
@@ -276,23 +224,31 @@ def _t_adic_quasi_inverse(ring, m):
         acc = q[j] if j <= top else zero
         for i in range(1, min(j, top) + 1):
             if w[j - i] != zero:
-                acc = mat_add(base, acc, mat_mul(base, q[i], w[j - i]))
+                acc = mul(q[i], w[j - i], acc)
         w.append(acc)
         zeros = zeros + 1 if acc == zero else 0
-    witness = _poly_matrix(ring, var, w[:len(w) - zeros] or [zero])
-    if not is_circle_witness(ring, m, witness):
-        raise VerificationFailure("t-adic quasi-inverse fails",
-                                  witness=(m, witness))
-    return witness
+    w = w[:len(w) - zeros] or [zero]
+    # m o w = 0 = w o m, coefficient by coefficient
+    for a, b in ((coeffs, w), (w, coeffs)):
+        out = [add(x, y) for x, y in itertools.zip_longest(a, b,
+                                                            fillvalue=zero)]
+        out += [zero] * (len(a) + len(b) - 1 - len(out))
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                if x != zero and y != zero:
+                    out[i + k] = mul(x, y, out[i + k])
+        if any(c != zero for c in out):
+            raise VerificationFailure("t-adic quasi-inverse fails",
+                                      witness=(coeffs, w))
+    return w
 
 
 def quasi_inverse(ring, m):
     """Quasi-inverse of the square matrix m, with how it was decided.
 
     Over a finite ring the circle powers of m decide (see _circle_powers).
-    Over A[t], A a finite ring, I + M is inverted by adjugate and
-    determinant when A is commutative with a unit, and otherwise the
-    t-adic recurrence decides (see _t_adic_quasi_inverse); both are
+    Over A[t], A a finite ring, the t-adic recurrence decides on the codes
+    of the coefficient matrices (see _t_adic_quasi_inverse); both are
     complete.  Several variables or a coefficient ring that is not a
     FiniteRing answer unknown.
     """
@@ -309,26 +265,20 @@ def quasi_inverse(ring, m):
             and isinstance(ring.scalar_base, FiniteRing)):
         return QiResult("unknown", None, ["no strategy applied"])
 
-    trace = []
-    base = ring.scalar_base
-    if base.unit is not None and _is_commutative(base):
-        trace.append("unital-commutative")
-        shifted = _unit_matrix_shift(ring, m)
-        inv_det = _invert_in_unital(ring, _det(ring, shifted))
-        if inv_det is None:
-            return QiResult("not_qi", None, trace + ["determinant not a unit"])
-        inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
-                        for row in _adjugate(ring, shifted))
-        identity = _unit_matrix_shift(ring, mat_zero(ring, len(m)))
-        witness = mat_add(ring, inverse, mat_neg(ring, identity))
-        if is_circle_witness(ring, m, witness):
-            return QiResult("ok", witness, trace)
-        trace.append("classical inverse failed verification")
-
-    trace.append("t-adic recurrence")
-    witness = _t_adic_quasi_inverse(ring, m)
-    if witness is None:
+    var, n = ring.vars[0], len(m)
+    # a group given no elements only codes: its tables fill on first use
+    group = CircleGroup(ring.scalar_base, n, (), {})
+    top = max((p.degree_in(var) for row in m for p in row), default=0)
+    coeffs = [list(group._zero) for _ in range(top + 1)]
+    for r, row in enumerate(m):
+        for c, p in enumerate(row):
+            for mono, x in p.terms:
+                coeffs[mono[0][1] if mono else 0][r * n + c] = group._code[x]
+    w = _t_adic_quasi_inverse(group, tuple(map(tuple, coeffs)))
+    trace = ["t-adic recurrence"]
+    if w is None:
         return QiResult("not_qi", None, trace)
+    witness = _poly_matrix(ring, var, [group._decode(c) for c in w])
     return QiResult("ok", witness, trace)
 
 
@@ -370,7 +320,8 @@ class CircleGroup:
     Inside, a matrix is the flat tuple of the codes of its entries (see
     the module docstring).  Built from ring and n alone it is all of
     GL_n(A): the circle powers of each matrix not yet decided settle it
-    and all its powers at once.  Elements and witnesses may also be given.
+    and all its powers at once.  Elements and witnesses may also be given;
+    given no elements, the group only codes matrices (see quasi_inverse).
     """
 
     def __init__(self, ring, n, elements=None, witnesses=None):
@@ -382,6 +333,7 @@ class CircleGroup:
         # |A|^{n^2} does not bound, so only the entries used are filled
         self._add = _code_table(ring.add, self._elems, self._code)
         self._mul = _code_table(ring.mul, self._elems, self._code)
+        self._neg = [self._code[ring.neg(x)] for x in self._elems]
         # entry e = (i, j) of a o b is a_e + b_e + sum_k a_ik b_kj
         self._terms = tuple(
             (i * n + j, tuple((i * n + k, k * n + j) for k in range(n)))
@@ -420,7 +372,8 @@ class CircleGroup:
         return m
 
     def _op(self, a, b):
-        """The circle product on codes."""
+        """The circle product a + b + ab on codes, in one pass: it is the
+        inner loop of the power walk, the closure and the normality test."""
         add, mul = self._add, self._mul
         out = []
         for e, pairs in self._terms:
@@ -428,6 +381,27 @@ class CircleGroup:
             for x, y in pairs:
                 acc = add[acc][mul[a[x]][b[y]]]
             out.append(acc)
+        return tuple(out)
+
+    def _mat_add(self, a, b):
+        """a + b on codes."""
+        add = self._add
+        return tuple([add[x][y] for x, y in zip(a, b)])
+
+    def _mat_neg(self, a):
+        """-a on codes."""
+        neg = self._neg
+        return tuple([neg[x] for x in a])
+
+    def _mat_mul(self, a, b, acc):
+        """acc + ab on codes."""
+        add, mul = self._add, self._mul
+        out = []
+        for e, pairs in self._terms:
+            x = acc[e]
+            for i, k in pairs:
+                x = add[x][mul[a[i]][b[k]]]
+            out.append(x)
         return tuple(out)
 
     def _circle_power_walk(self):
@@ -626,34 +600,28 @@ def kv1_approx(ring, n, degree, budget=200_000):
     """Classes of GL_n(A) modulo ends of degree <= degree polynomial paths.
 
     H is the subgroup generated by {P(1) : P in GL_n(A[t]), deg P <= d,
-    P(0) = 0}, every candidate P decided by quasi_inverse over A[t]; the
+    P(0) = 0}, every candidate P decided by the t-adic recurrence on the
+    codes of its coefficient matrices (see _t_adic_quasi_inverse); the
     returned quotient GL_n(A)/H surjects onto the true
     pi_0(GL_n(A[Delta])) and is monotone in the degree bound.
     """
     if degree < 1:
         raise IndexOutOfRange(f"path degree {degree}")
     group = gl_group(ring, n, budget=budget)
-    pring = PolyRing(ring, ("t",))
 
     count = ring.size() ** (n * n * degree)
     if count > budget:
         raise BudgetExceeded(count, budget)
 
     mats = list(itertools.product(range(ring.size()), repeat=n * n))
-    zero = mat_zero(ring, n)
-    add = group._add
     ends = _path_ends(group)
     found = []
     for coeffs in itertools.product(mats, repeat=degree):
-        end = coeffs[0]
-        for c in coeffs[1:]:
-            end = tuple([add[x][y] for x, y in zip(end, c)])
+        end = functools.reduce(group._mat_add, coeffs)
         # the endpoint filter of the module docstring
         if end not in ends:
             continue
-        pm = _poly_matrix(pring, "t",
-                          (zero,) + tuple(map(group._decode, coeffs)))
-        if quasi_inverse(pring, pm).status == "ok":
+        if _t_adic_quasi_inverse(group, (group._zero,) + coeffs) is not None:
             found.append(end)
             ends.discard(end)
 
@@ -708,8 +676,10 @@ def stabilize(ring, m, bigger):
 
 
 def circle_determinant(ring, m):
-    """det(I + M) over a commutative unital coefficient ring."""
-    return _det(ring, _unit_matrix_shift(ring, m))
+    """det(I + M) over a commutative unital finite ring."""
+    return _det(ring, tuple(tuple(ring.add(e, ring.unit) if i == j else e
+                                  for j, e in enumerate(row))
+                            for i, row in enumerate(m)))
 
 
 def determinant_certificate(pres):

@@ -23,7 +23,9 @@ from .intlin import (LinearSolver, identity_matrix, mat_vec, smith_normal_form,
 
 
 class Ring:
-    """Minimal interface every ring in the library implements.
+    """Minimal interface every ring in the library implements: zero(),
+    add(a, b), neg(a), mul(a, b), scalar(n, a), contains(a) and
+    sample(rng), on which sub, sum and is_zero below are built.
 
     Elements are plain hashable values; the ring object owns the
     arithmetic.  ``scalar`` is the integral action n.x, which exists in any
@@ -31,27 +33,6 @@ class Ring:
     """
 
     label = "ring"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def scalar(self, n, a):
-        raise NotImplementedError
-
-    def contains(self, a):
-        raise NotImplementedError
-
-    def sample(self, rng):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))

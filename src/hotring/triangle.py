@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .errors import (DepthExceeded, HotringError, MalformedInput,
-                     NotSurjective, VerificationFailure)
+from .errors import (DepthExceeded, HotringError, IndexOutOfRange,
+                     MalformedInput, NotSurjective, VerificationFailure)
 from .homotopy import (HomotopyCertificate, carrier_ring, eval_endpoint,
                        verify_certificate)
 from .poly import (LoopRing, PathRing, Poly, PolyRing, coefficient_map,
@@ -358,6 +358,8 @@ def truncated_path_ring(c_ring, m, label=None):
     eval1.validate()
 
     def include(i, e):
+        if i not in range(kc) or e < 1:
+            raise IndexOutOfRange(f"generator {i}, exponent {e}")
         return ring.element(vector_of([((i, e), 1)]))
 
     return ring, eval1, include

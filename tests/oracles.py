@@ -182,15 +182,80 @@ def witnesses_by_enumeration(ring, m):
     return [w for w in matrices(ring, len(m)) if is_circle_witness(ring, m, w)]
 
 
+def _one(ring):
+    """The unit of a unital finite ring A, or the constant 1 of A[t]."""
+    from hotring.poly import PolyLike
+
+    if isinstance(ring, PolyLike):
+        return ring.const(ring.scalar_base.unit)
+    return ring.unit
+
+
+def _unit_shift(ring, m):
+    """I + m over a unital finite ring A or over A[t]."""
+    one = _one(ring)
+    return tuple(tuple(ring.add(e, one) if i == j else e
+                       for j, e in enumerate(row)) for i, row in enumerate(m))
+
+
+def _adjugate(ring, mat):
+    """adj(mat)[i][j]: (-1)^(i+j) times the determinant of mat without row
+    j and column i."""
+    from hotring.glk import _det
+
+    def minor(r0, c0):
+        return tuple(tuple(x for c, x in enumerate(row) if c != c0)
+                     for r, row in enumerate(mat) if r != r0)
+
+    n = len(mat)
+    if n == 1:
+        return ((_one(ring),),)
+    return tuple(tuple(ring.scalar((-1) ** (i + j), _det(ring, minor(j, i)))
+                       for j in range(n)) for i in range(n))
+
+
+def _classical_witness(ring, m, inv_det):
+    """inv_det adj(I + m) - I: the quasi-inverse of m over a commutative
+    ring when inv_det is the inverse of det(I + m)."""
+    from hotring.glk import mat_add, mat_neg, mat_zero
+
+    inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
+                    for row in _adjugate(ring, _unit_shift(ring, m)))
+    identity = _unit_shift(ring, mat_zero(ring, len(m)))
+    return mat_add(ring, inverse, mat_neg(ring, identity))
+
+
+def _invert_in_unital(ring, u):
+    """Multiplicative inverse of u in A[t], A finite, commutative and
+    unital; None when u is not a unit.  A polynomial is a unit exactly when
+    its constant term is a unit and every higher coefficient is
+    nilpotent."""
+    from hotring.glk import _is_nilpotent
+
+    base = ring.scalar_base
+    u0 = next((c for mono, c in u.terms if not mono), base.zero())
+    inv0 = next((v for v in base.elements() if base.mul(u0, v) == base.unit),
+                None)
+    if inv0 is None:
+        return None
+    w = ring.sub(u, ring.const(u0))
+    if not all(_is_nilpotent(base, c) for _, c in w.terms):
+        return None
+    inv0p = ring.const(inv0)
+    term, acc = ring.const(base.unit), ring.zero()
+    while term != ring.zero():
+        acc = ring.add(acc, term)
+        term = ring.neg(ring.mul(term, ring.mul(inv0p, w)))
+    return ring.mul(inv0p, acc)
+
+
 def quasi_inverse_cascade(ring, m, budget=200_000):
     """(status, witness) over a finite ring: (a) the alternating series
     over a nilpotent ring, (b) adjugate and determinant of I + m over a
     commutative unital ring, (c) enumeration of every witness within the
     budget; otherwise ("unknown", None)."""
-    from hotring.glk import (_adjugate, _det, _invert_in_unital,
-                             _is_commutative, _unit_matrix_shift,
-                             is_circle_witness, mat_add, mat_mul, mat_neg,
-                             mat_zero)
+    from hotring.glk import (_det, _is_commutative, is_circle_witness,
+                             mat_add, mat_mul, mat_neg, mat_zero)
 
     n = len(m)
     e = ring.nilpotency_class()
@@ -204,17 +269,12 @@ def quasi_inverse_cascade(ring, m, budget=200_000):
         if is_circle_witness(ring, m, acc):
             return "ok", acc
     if ring.unit is not None and _is_commutative(ring):
-        shifted = _unit_matrix_shift(ring, m)
-        det = _det(ring, shifted)
+        det = _det(ring, _unit_shift(ring, m))
         inv_det = next((v for v in ring.elements()
                         if ring.mul(det, v) == ring.unit), None)
         if inv_det is None:
             return "not_qi", None
-        adj = ((ring.unit,),) if n == 1 else _adjugate(ring, shifted)
-        inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
-                        for row in adj)
-        identity = _unit_matrix_shift(ring, mat_zero(ring, n))
-        witness = mat_add(ring, inverse, mat_neg(ring, identity))
+        witness = _classical_witness(ring, m, inv_det)
         if is_circle_witness(ring, m, witness):
             return "ok", witness
     if ring.size() ** (n * n) <= budget:
@@ -224,8 +284,24 @@ def quasi_inverse_cascade(ring, m, budget=200_000):
 
 
 # ---------------------------------------------------------------------------
-# quasi-invertibility over A[t] by the strategy cascade that came before the
-# t-adic recurrence
+# quasi-invertibility over A[t] by adjugate and determinant, and by the
+# strategy cascade that came before the t-adic recurrence
+
+
+def adjugate_quasi_inverse(ring, m):
+    """(status, witness) over A[t], A finite, commutative and unital, by
+    adjugate and determinant of I + m: ("not_qi", None) when the
+    determinant is not a unit of A[t], and ("unknown", None) when the
+    witness fails its check."""
+    from hotring.glk import _det, is_circle_witness
+
+    inv_det = _invert_in_unital(ring, _det(ring, _unit_shift(ring, m)))
+    if inv_det is None:
+        return "not_qi", None
+    witness = _classical_witness(ring, m, inv_det)
+    if is_circle_witness(ring, m, witness):
+        return "ok", witness
+    return "unknown", None
 
 
 def quasi_inverse_poly_cascade(ring, m, witness_degree, budget=200_000):
@@ -236,10 +312,8 @@ def quasi_inverse_poly_cascade(ring, m, witness_degree, budget=200_000):
     ("unknown", None)."""
     from itertools import product
 
-    from hotring.glk import (_adjugate, _det, _invert_in_unital,
-                             _is_commutative, _unit_matrix_shift,
-                             is_circle_witness, mat_add, mat_mul, mat_neg,
-                             mat_zero)
+    from hotring.glk import (_is_commutative, is_circle_witness, mat_add,
+                             mat_mul, mat_neg, mat_zero)
 
     base, n = ring.scalar_base, len(m)
     e = base.nilpotency_class()
@@ -253,16 +327,9 @@ def quasi_inverse_poly_cascade(ring, m, witness_degree, budget=200_000):
         if is_circle_witness(ring, m, acc):
             return "ok", acc
     if base.unit is not None and _is_commutative(base):
-        shifted = _unit_matrix_shift(ring, m)
-        inv_det = _invert_in_unital(ring, _det(ring, shifted))
-        if inv_det is None:
-            return "not_qi", None
-        inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
-                        for row in _adjugate(ring, shifted))
-        identity = _unit_matrix_shift(ring, mat_zero(ring, n))
-        witness = mat_add(ring, inverse, mat_neg(ring, identity))
-        if is_circle_witness(ring, m, witness):
-            return "ok", witness
+        status, witness = adjugate_quasi_inverse(ring, m)
+        if status != "unknown":
+            return status, witness
     slots = n * n * (witness_degree + 1)
     if base.size() ** slots > budget:
         return "unknown", None

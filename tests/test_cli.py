@@ -121,6 +121,29 @@ def test_kv1_budget_exhaustion_exit_code(workdir, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("size,degree", [(0, 1), (1, 0)])
+def test_kv1_refuses_an_empty_level(workdir, capsys, size, degree):
+    code = main(["kv1", "--ring", str(workdir / "z3_unital.json"),
+                 "--size", str(size), "--degree", str(degree)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "kv1 needs --size >= 1 and --degree >= 1" in err
+
+
+def test_classes_refuses_a_chain_that_fails_verification(workdir, capsys,
+                                                         monkeypatch):
+    class Invalid:
+        valid = False
+
+    monkeypatch.setattr("hotring.cli.verify_certificate",
+                        lambda *args, **kwargs: Invalid())
+    code = main(["classes", "--source", str(workdir / "sq0_z2.json"),
+                 "--target", str(workdir / "sq0_z2.json"), "--degree", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(r"stored chain \d+-\d+ fails", err)
+
+
 def test_factorize_command(workdir, capsys):
     code, out = run(capsys, ["factorize", "--hom", workdir / "h.json",
                              "--source", workdir / "tower3.json",

@@ -18,7 +18,7 @@ from hotring.glk import (_path_ends, _poly_matrix, _quotient_invariants,
                          is_circle_witness, mat_zero)
 from hotring.poly import constant_of, evaluate
 from hotring.rings import FiniteRing
-from oracles import (matrices, quasi_inverse_cascade,
+from oracles import (adjugate_quasi_inverse, matrices, quasi_inverse_cascade,
                      quasi_inverse_poly_cascade, witnesses_by_enumeration,
                      witnesses_up_to_degree)
 
@@ -618,10 +618,6 @@ def _path_candidates(ring, n, degree):
                                                    repeat=degree)]
 
 
-def _without_unit(ring):
-    return validate_ring(ring.orders, ring.table, label=ring.label + "-nu")
-
-
 PATH_LEVELS = [(1, 1), (1, 2), (1, 3), (2, 1)]
 
 
@@ -639,17 +635,13 @@ def test_path_quasi_inverse_matches_the_cascade(label, n, d):
 @pytest.mark.parametrize("label", ["graded_dual", "z2_unital", "z3_unital",
                                    "z4_unital"])
 def test_path_recurrence_matches_the_adjugate(label, n, d):
-    # without its unit the ring goes to the t-adic recurrence; with it, to
-    # adjugate and determinant
+    # the recurrence decides every ring, unital or not; the oracle inverts
+    # I + P by adjugate and determinant
     pring, candidates = _path_candidates(RINGS[label], n, d)
-    bare = PolyRing(_without_unit(RINGS[label]), ("t",))
     for pm in candidates:
         res = quasi_inverse(pring, pm)
-        walk = quasi_inverse(bare, pm)
-        assert res.trace == ["unital-commutative"] + (
-            ["determinant not a unit"] if res.status == "not_qi" else [])
-        assert walk.trace == ["t-adic recurrence"]
-        assert (walk.status, walk.witness) == (res.status, res.witness)
+        assert res.trace == ["t-adic recurrence"]
+        assert (res.status, res.witness) == adjugate_quasi_inverse(pring, pm)
 
 
 def _z16(unit=None):
@@ -675,9 +667,10 @@ def test_recurrence_with_a_constant_term_matches_the_adjugate():
     walk_ring, adj_ring = PolyRing(bare, ("t",)), PolyRing(unital, ("t",))
     for m0, m1 in itertools.product(range(16), repeat=2):
         pm = _poly_matrix(walk_ring, "t", [(((m0,),),), (((m1,),),)])
-        walk, adj = quasi_inverse(walk_ring, pm), quasi_inverse(adj_ring, pm)
+        walk = quasi_inverse(walk_ring, pm)
         assert walk.trace == ["t-adic recurrence"]
-        assert (walk.status, walk.witness) == (adj.status, adj.witness)
+        assert (walk.status, walk.witness) == adjugate_quasi_inverse(adj_ring,
+                                                                     pm)
         # 1 + m is a unit of Z/16[t] exactly when 1 + m0 is a unit and m1
         # is nilpotent, that is when m0 and m1 are both even
         assert walk.status == ("ok" if m0 % 2 == m1 % 2 == 0 else "not_qi")
@@ -685,6 +678,39 @@ def test_recurrence_with_a_constant_term_matches_the_adjugate():
     pm = _poly_matrix(walk_ring, "t", [(((2,),),), (((2,),),)])
     assert quasi_inverse(walk_ring, pm).witness == _poly_matrix(
         walk_ring, "t", [(((c,),),) for c in (10, 14, 12, 8)])
+
+
+def test_kv1_decides_paths_without_the_public_wrapper(monkeypatch):
+    # path candidates are decided on the group's codes: no PolyRing is
+    # built and quasi_inverse is never called
+    calls = {"quasi_inverse": 0, "PolyRing": 0}
+    qi, init = hotring.glk.quasi_inverse, PolyRing.__init__
+
+    def counted_qi(*args):
+        calls["quasi_inverse"] += 1
+        return qi(*args)
+
+    def counted_init(self, *args, **kwargs):
+        calls["PolyRing"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hotring.glk, "quasi_inverse", counted_qi)
+    monkeypatch.setattr(PolyRing, "__init__", counted_init)
+    pres = kv1_approx(corpus()["graded_dual"], 2, 1)
+    assert pres.order == 1
+    assert calls == {"quasi_inverse": 0, "PolyRing": 0}
+
+
+def test_broken_recurrence_trips_the_convolution_check(monkeypatch):
+    # with q_i = m_i + w_0 m_i unnegated, 2t over Z/16 gets the "witness"
+    # 2t + 4t^2 + 8t^3, and m o w = 4t + 8t^2 is caught
+    monkeypatch.setattr(CircleGroup, "_mat_neg", lambda self, a: a)
+    ring = _z16()
+    pring = PolyRing(ring, ("t",))
+    with pytest.raises(VerificationFailure, match="t-adic quasi-inverse"):
+        quasi_inverse(pring, ((pring.monomial((2,), (("t", 1),)),),))
+    with pytest.raises(VerificationFailure, match="t-adic quasi-inverse"):
+        kv1_approx(ring, 1, 1)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -73,7 +73,7 @@ def test_no_module_imports_fractions():
 # The only functions outside poly.py that may ask whether a ring is
 # polynomial-shaped.  Everything else goes through poly.lift, poly.lower
 # and poly.scalar_base_of, which decide how a ring sits inside R[x].
-POLYLIKE_SITES = {"glk.quasi_inverse", "glk._unit_matrix_shift",
+POLYLIKE_SITES = {"glk.quasi_inverse",
                   "simplicial.check_contraction_compatibility"}
 
 

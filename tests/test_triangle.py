@@ -6,7 +6,8 @@ import pytest
 from hotring import rings as rings_module
 from hotring import triangle as triangle_module
 from hotring import (DepthExceeded, FibrationFamily, FuncHom,
-                     HomotopyCertificate, HotringError, K0Diagram, LoopRing,
+                     HomotopyCertificate, HotringError, IndexOutOfRange,
+                     K0Diagram, LoopRing,
                      NotSurjective, PairRing, PathRing, Poly, PolyRing,
                      RingHom,
                      check_axioms, compose, corpus, enumerate_homs, factorize,
@@ -271,6 +272,13 @@ def test_truncated_reduction_matches_long_division(name, m):
                 expected = ring.add(expected,
                                     ring.scalar(rem[b], include(i, b)))
             assert include(i, e) == expected, (e, i)
+
+
+@pytest.mark.parametrize("i,e", [(5, 1), (0, 0), (-1, 1)])
+def test_truncated_include_rejects_out_of_range(i, e):
+    _, _, include = truncated_path_ring(RINGS["sq0_z2"], 2)
+    with pytest.raises(IndexOutOfRange):
+        include(i, e)
 
 
 def _tampered_j(tp, idx, images):
