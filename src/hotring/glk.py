@@ -37,14 +37,13 @@ precomputed set (_path_ends), tested once per candidate.
 
 The finite group GL_n(A) runs on integer codes (CircleGroup): an element
 of A is coded by its index in ring.elements(), which is lexicographic,
-so coded matrices sort as the matrices do.  Add and mul tables of codes,
-filled entry by entry on first use, live on the group, so rings that
-never build a GL group pay nothing for them; the circle-power walk, the
-endpoint sums, the t-adic recurrence, the subgroup closure, the
-normality test and the coset partition all run on codes, and only the
-public surface
-(CircleGroup.elements, witnesses, index, op, inv and every
-Pi0Presentation field) holds matrices.
+so coded matrices sort as the matrices do.  The codes and their add, mul
+and neg tables are the ring's own (rings._codes), filled entry by entry
+on first use and shared by every GL group of A and the homotopy search;
+the circle-power walk, the endpoint sums, the t-adic recurrence, the
+subgroup closure, the normality test and the coset partition all run on
+codes, and only the public surface (CircleGroup.elements, witnesses,
+index, op, inv and every Pi0Presentation field) holds matrices.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .errors import (BadUnit, BudgetExceeded, IndexOutOfRange,
                      VerificationFailure)
 from .intlin import invariant_factors
 from .poly import Poly, PolyLike
-from .rings import FiniteRing, _UnionFind
+from .rings import FiniteRing, _codes, _UnionFind
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def _t_adic_quasi_inverse(group, coeffs):
     w = [powers[-1] if powers else zero]
     q = [group._mat_neg(a if w[0] == zero else mul(w[0], a, a))
          for a in coeffs]
-    states = len(group._elems) ** (len(zero) * top)
+    states = group.ring.size() ** (len(zero) * top)
     last = top + states.bit_length() - 1
     zeros = int(w[0] == zero)         # trailing zero coefficients of w
     j = 0
@@ -266,7 +265,7 @@ def quasi_inverse(ring, m):
         return QiResult("unknown", None, ["no strategy applied"])
 
     var, n = ring.vars[0], len(m)
-    # a group given no elements only codes: its tables fill on first use
+    # a group given no elements only codes, on the ring's shared tables
     group = CircleGroup(ring.scalar_base, n, (), {})
     top = max((p.degree_in(var) for row in m for p in row), default=0)
     coeffs = [list(group._zero) for _ in range(top + 1)]
@@ -286,23 +285,6 @@ def quasi_inverse(ring, m):
 # the finite circle group GL_n(A)
 
 
-class _Lazy(dict):
-    """A dict that computes a missing entry with fill(key) and keeps it."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-def _code_table(op, elems, code):
-    """op on element codes as table[a][b], each entry filled on first use."""
-    return _Lazy(lambda a: _Lazy(lambda b, x=elems[a]: code[op(x, elems[b])]))
-
-
 class _Subgroup(list):
     """A subgroup from CircleGroup.subgroup_closure: its elements as a
     sorted list of matrices and, on codes, its element set and the
@@ -317,8 +299,9 @@ class _Subgroup(list):
 class CircleGroup:
     """(GL_n(A), o) with quasi-inverse witnesses, run on integer codes.
 
-    Inside, a matrix is the flat tuple of the codes of its entries (see
-    the module docstring).  Built from ring and n alone it is all of
+    Inside, a matrix is the flat tuple of the codes of its entries, read
+    through the ring's code tables (rings._codes), which the group shares
+    with every other user of A.  Built from ring and n alone it is all of
     GL_n(A): the circle powers of each matrix not yet decided settle it
     and all its powers at once.  Elements and witnesses may also be given;
     given no elements, the group only codes matrices (see quasi_inverse).
@@ -327,13 +310,9 @@ class CircleGroup:
     def __init__(self, ring, n, elements=None, witnesses=None):
         self.ring = ring
         self.n = n
-        self._elems = list(ring.elements())
-        self._code = {x: c for c, x in enumerate(self._elems)}
-        # up to |A|^2 entries each, which at n = 1 gl_group's budget on
-        # |A|^{n^2} does not bound, so only the entries used are filled
-        self._add = _code_table(ring.add, self._elems, self._code)
-        self._mul = _code_table(ring.mul, self._elems, self._code)
-        self._neg = [self._code[ring.neg(x)] for x in self._elems]
+        tables = _codes(ring)
+        self._code, self._element = tables.code, tables.element
+        self._add, self._mul, self._neg = tables.add, tables.mul, tables.neg
         # entry e = (i, j) of a o b is a_e + b_e + sum_k a_ik b_kj
         self._terms = tuple(
             (i * n + j, tuple((i * n + k, k * n + j) for k in range(n)))
@@ -366,7 +345,7 @@ class CircleGroup:
     def _decode(self, c):
         m = self._matrix.get(c)
         if m is None:
-            elems, n = self._elems, self.n
+            elems, n = self._element, self.n
             m = tuple(tuple([elems[x] for x in c[i:i + n]])
                       for i in range(0, n * n, n))
         return m
@@ -409,7 +388,7 @@ class CircleGroup:
         zero = self._zero
         inverse = {}
         outside = set()
-        for m in itertools.product(range(len(self._elems)),
+        for m in itertools.product(range(self.ring.size()),
                                    repeat=self.n * self.n):
             if m in inverse or m in outside:
                 continue

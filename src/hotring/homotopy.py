@@ -12,12 +12,12 @@ negative beyond "not found at this bound".
 from __future__ import annotations
 
 from .errors import HotringError, MembershipViolation, VerificationFailure
-from .poly import (PolyRing, coefficient_map, evaluate, fresh_var, imul, ivar,
-                   lift, lower, one_minus, scalar_base_of, slices, substitute,
-                   substitution_hom)
-from .rings import (FuncHom, RingHom, _UnionFind, _all_pairs,
-                    _annihilator, _first_nonmultiplicative,
-                    _multiplicative_images, compose, identity_hom, zero_hom)
+from .poly import (Poly, PolyRing, coefficient_map, evaluate, fresh_var, imul,
+                   ivar, lift, lower, one_minus, scalar_base_of, slices,
+                   substitute, substitution_hom)
+from .rings import (FuncHom, RingHom, _UnionFind, _annihilator, _codes,
+                    _first_nonmultiplicative, _multiplicative_images, compose,
+                    identity_hom, zero_hom)
 from .virtual import PairRing
 
 
@@ -134,22 +134,24 @@ def verify_certificate(cert, probes=50, rng=None):
     (the sum of the slices).  An endpoint stored as a RingHom is compared
     through its stored image reduced in its target, which is what
     ``apply`` would return on the generator.  Multiplicativity is checked
-    last, on every generator pair in R[var], independently of the
-    coefficient checks the search runs.  The failure reported is the first
-    one in the order membership, order, endpoint0, endpoint1 (generator
-    by generator), then multiplicative.
+    last, on every generator pair, by convolving the same slices with R's
+    own arithmetic (see rings._first_nonmultiplicative): it reads none of
+    the coefficient checks or element codes the search runs on.  The
+    failure reported is the first one in the order membership, order,
+    endpoint0, endpoint1 (generator by generator), then multiplicative.
     """
     ring = cert.target
-    carrier = cert.carrier or carrier_ring(ring, cert.var)
     h = cert.hom
 
     if isinstance(h, RingHom):
         src = h.source
         zero = ring.zero()
         checked = 0
+        slices_of = []
         for i, img in enumerate(h.images):
             checked += 1
             sl = element_slices(ring, img, cert.var)
+            slices_of.append(sl)
             if sl is None or not all(ring.contains(x) for x in sl.values()):
                 return CertificateReport(False, "exact", checked,
                                          ("membership", i))
@@ -163,8 +165,7 @@ def verify_certificate(cert, probes=50, rng=None):
             if not _is_image(ring.sum(sl.values()), cert.f1, src, i):
                 return CertificateReport(False, "exact", checked,
                                          ("endpoint1", i))
-        bad = _first_nonmultiplicative(src, carrier, h.images,
-                                       _all_pairs(src))
+        bad = _first_nonmultiplicative(src, ring, slices_of)
         if bad is not None:
             # one check per generator pair, up to and including the bad one
             checked += bad[0] * src.ngens + bad[1] + 1
@@ -174,6 +175,7 @@ def verify_certificate(cert, probes=50, rng=None):
 
     import random
     rng = rng or random.Random(0)
+    carrier = cert.carrier or carrier_ring(ring, cert.var)
     src = h.source
     checked = 0
     for _ in range(probes):
@@ -308,43 +310,43 @@ def search_elementary(f0, f1, degree, budget=200_000):
     constant coefficient lo = f0(g_i) and the top one, top = f1(g_i) - lo -
     sum m, so only the middle coefficients are searched, each drawn from
     the annihilator of the generator order.  Multiplicativity in R[x] is
-    checked coefficient by coefficient on R elements as soon as the slots
-    it reads are assigned, and a failing prefix of slots skips every
-    completion (see rings._multiplicative_images); only the hit becomes
-    polynomials.  ``searched`` counts whole options, one per choice of all
-    middle coefficients of a generator, pruned ones included, so it is
-    the count of trying every option in turn.  The check tables and the
-    annihilators are kept in the source's and the target's ``derived``,
-    so every search between two rings shares them.  The hit is
-    re-verified by verify_certificate, which does not use those tables.
-    Returns a verified certificate or a NotFoundAtBound verdict.
+    checked coefficient by coefficient on the integer codes of R's
+    elements and R's code tables, as soon as the slots it reads are
+    assigned, and a failing prefix of slots skips every completion (see
+    rings._multiplicative_images); only the hit is decoded, straight into
+    canonical polynomials.  ``searched`` counts whole options, one per
+    choice of all middle coefficients of a generator, pruned ones
+    included, so it is the count of trying every option in turn.  The
+    check tables, the code tables and the annihilators are kept in the
+    source's and the target's ``derived``, so every search between two
+    rings shares them.  The hit is re-verified by verify_certificate on
+    R's tuple arithmetic, which uses none of those tables.  Returns a
+    verified certificate or a NotFoundAtBound verdict.
     """
     src, ring = f0.source, f0.target
     if f1.source is not src or f1.target is not ring:
         raise HotringError("f0 and f1 must share source and target")
     carrier = carrier_ring(ring, "x")
+    codes = _codes(ring)
 
     if degree == 0:
-        slots = [[[lo] if lo == hi else []]
+        slots = [[[codes.code[lo]] if lo == hi else []]
                  for lo, hi in zip(f0.images, f1.images)]
         sums = None
     else:
-        slots = [[[lo]] + [_annihilator(ring, d)] * (degree - 1)
+        slots = [[[codes.code[lo]]] + [_annihilator(ring, d)] * (degree - 1)
                  for lo, d in zip(f0.images, src.orders)]
-        sums = f1.images
+        sums = [codes.code[hi] for hi in f1.images]
 
     searched = [0]
     found = next(_multiplicative_images(src, ring, slots, budget, sums=sums,
                                         tried=searched), None)
     if found is None:
         return NotFoundAtBound(degree, searched[0])
-    images = []
-    for coeffs in found:
-        acc = carrier.zero()
-        for e, c in enumerate(coeffs):
-            acc = carrier.add(acc, carrier.monomial(c, (("x", e),))
-                              if e else carrier.const(c))
-        images.append(acc)
+    monos = [()] + [(("x", e),) for e in range(1, degree + 1)]
+    images = [Poly(tuple((monos[e], codes.element[c])
+                         for e, c in enumerate(coeffs) if c))
+              for coeffs in found]
     cert = HomotopyCertificate(RingHom(src, carrier, images, label="h"),
                                f0, f1, "x")
     report = verify_certificate(cert)

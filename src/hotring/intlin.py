@@ -23,7 +23,7 @@ def mat_mul(a, b):
     rows, inner = len(a), len(a[0])
     cols = len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
+    for i in range(rows if cols else 0):
         ai = a[i]
         for k in range(inner):
             x = ai[k]
@@ -154,16 +154,26 @@ class LinearSolver:
         self.s, self.u, self.v, _ = smith_normal_form(mat)
 
     def solve(self, rhs):
-        ub = mat_vec(self.u, rhs)
-        y = [0] * self.n
+        return self.solve_all([rhs])[0]
+
+    def solve_all(self, rhss):
+        """A solution x of A x = b for each b in rhss, None where there is
+        none: one product by U and one by V for the whole batch."""
+        k = len(rhss)
+        ub = mat_mul(self.u, transpose(rhss))
+        y = [[0] * k for _ in range(self.n)]
+        solvable = [True] * k
         for i in range(self.m):
             si = self.s[i][i] if i < self.n else 0
-            # S y = U b: s_i divides (U b)_i, which is 0 where s_i is
-            if (ub[i] % si if si else ub[i]) != 0:
-                return None
-            if si:
-                y[i] = ub[i] // si
-        return mat_vec(self.v, y)
+            for c, x in enumerate(ub[i]):
+                # S y = U b: s_i divides (U b)_i, which is 0 where s_i is
+                if (x % si if si else x) != 0:
+                    solvable[c] = False
+                elif si:
+                    y[i][c] = x // si
+        vy = mat_mul(self.v, y)
+        return [[row[c] for row in vy] if solvable[c] else None
+                for c in range(k)]
 
     def kernel(self):
         """Basis (list of vectors) of {x in Z^n : A x = 0}: the columns of

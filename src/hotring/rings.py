@@ -15,10 +15,12 @@ integer kernels and Smith normal form (see ``intlin``).
 from __future__ import annotations
 
 import itertools
+import math
+import types
 
 from .errors import (BadUnit, BudgetExceeded, HotringError, IllDefined,
                      MalformedInput, NotAssociative, VerificationFailure)
-from .intlin import (LinearSolver, identity_matrix, mat_vec, smith_normal_form,
+from .intlin import (LinearSolver, identity_matrix, mat_mul, smith_normal_form,
                      transpose)
 
 
@@ -104,9 +106,9 @@ class FiniteRing(Ring):
                 products.append((i, prods))
         self._products = tuple(products)
         # tables that depend on this ring only, each built on first use
-        # and dropped with the ring: ("gl", n) by glk.gl_group,
-        # ("checks", top) by _coefficient_checks, ("annihilator", order)
-        # by _annihilator
+        # and dropped with the ring: ("codes",) by _codes, ("gl", n) by
+        # glk.gl_group, ("checks", top) by _coefficient_checks and
+        # ("annihilator", order) by _annihilator
         self.derived = {}
 
     def _reduce_raw(self, v):
@@ -190,6 +192,51 @@ class FiniteRing(Ring):
             words = [self.mul(self.gen(i), w)
                      for i in range(self.ngens) for w in words]
             words = sorted(set(words))
+
+
+class _Lazy(dict):
+    """A dict computing a missing entry as fill(key), kept if keep is set."""
+
+    __slots__ = ("fill", "keep")
+
+    def __init__(self, fill, keep=True):
+        self.fill, self.keep = fill, keep
+
+    def __missing__(self, key):
+        value = self.fill(key)
+        if self.keep:
+            self[key] = value
+        return value
+
+
+def _codes(ring):
+    """Integer codes of the elements of a finite ring, kept in ring.derived
+    for hom enumeration, the homotopy search and every GL group of it.
+
+    The code of x is the mixed-radix index of its coordinates, i.e. its
+    position in ring.elements(), and zero is 0.  code[x] and element[c]
+    translate; add[a][b], mul[a][b], neg[a] and scalar[n][a] act on codes.
+    Each entry is computed by tuple arithmetic on first use, so no ring is
+    enumerated, and kept if the ring has at most 1024 elements: a larger
+    ring rarely reads an entry twice, and each kept row costs a dict."""
+    if ("codes",) in ring.derived:
+        return ring.derived[("codes",)]
+    radix = [(d, math.prod(ring.orders[i + 1:]))   # (order, stride)
+             for i, d in enumerate(ring.orders)]
+    code = _Lazy(lambda x: sum(c % d * s for c, (d, s) in zip(x, radix)))
+    elem = _Lazy(lambda c: tuple(c // s % d for d, s in radix))
+    keep = ring.size() <= 1024
+
+    def table(op):
+        return _Lazy(lambda a: _Lazy(
+            lambda b, x=elem[a]: code[op(x, elem[b])], keep), keep)
+    codes = ring.derived[("codes",)] = types.SimpleNamespace(
+        radix=radix, code=code, element=elem,
+        add=table(ring.add), mul=table(ring.mul),
+        neg=_Lazy(lambda a: code[ring.neg(elem[a])], keep),
+        scalar=_Lazy(lambda n: _Lazy(
+            lambda a: code[ring.scalar(n, elem[a])], keep)))
+    return codes
 
 
 def zero_ring(label="0"):
@@ -292,11 +339,12 @@ class RingHom(Hom):
 
     def apply(self, x):
         t = self.target
-        acc = t.zero()
-        for c, img in zip(x, self.images):
-            if c:
-                acc = t.add(acc, t.scalar(c, img))
-        return acc
+        if isinstance(t, FiniteRing):
+            # sum_i c_i images[i], coordinate by coordinate, reduced once
+            terms = [(c, img) for c, img in zip(x, self.images) if c]
+            return tuple(sum(c * img[l] for c, img in terms) % d
+                         for l, d in enumerate(t.orders))
+        return t.sum(t.scalar(c, img) for c, img in zip(x, self.images) if c)
 
     def validate(self):
         """Raise VerificationFailure, with the offending generator or pair
@@ -313,7 +361,8 @@ class RingHom(Hom):
             if not t.is_zero(t.scalar(src.orders[i], img)):
                 raise VerificationFailure(
                     f"order of generator {i} not respected", witness=i)
-        bad = _first_nonmultiplicative(src, t, self.images, _all_pairs(src))
+        bad = _first_nonmultiplicative(src, t,
+                                       [{0: x} for x in self.images])
         if bad is not None:
             raise VerificationFailure(
                 "multiplicativity fails on generators {},{}".format(*bad),
@@ -365,19 +414,25 @@ def _all_pairs(source):
     return [(i, j) for i in range(source.ngens) for j in range(source.ngens)]
 
 
-def _first_nonmultiplicative(source, target, images, pairs):
-    """The first generator pair (i, j) on which the images are not
-    multiplicative, i.e. sum_l c_l images[l] over c = table[i][j] differs
-    from images[i] * images[j]; None when every pair passes."""
-    for i, j in pairs:
-        lhs = None             # starting from zero would cost one add
+def _first_nonmultiplicative(source, target, slices_of):
+    """The first generator pair (i, j) on which images, given by their
+    slices in a central variable (slices_of[i] = {e: element of target};
+    {0: image} for a plain image), do not multiply like the generators;
+    None when every pair passes.  The pair passes exactly when
+    sum_l t_ijl s_l[e] = sum_{a+b=e} s_i[a] s_j[b] in target for every e,
+    t_ijl the structure constants of source."""
+    zero = target.zero()
+    for i, j in _all_pairs(source):
+        lhs, rhs = {}, {}
         for l, c in enumerate(source.table[i][j]):
-            if c:
-                term = images[l] if c == 1 else target.scalar(c, images[l])
-                lhs = term if lhs is None else target.add(lhs, term)
-        if lhs is None:
-            lhs = target.zero()
-        if lhs != target.mul(images[i], images[j]):
+            for e, x in slices_of[l].items() if c else ():
+                x = x if c == 1 else target.scalar(c, x)
+                lhs[e] = target.add(lhs[e], x) if e in lhs else x
+        for a, x in slices_of[i].items():
+            for b, y in slices_of[j].items():
+                p = target.mul(x, y)
+                rhs[a + b] = target.add(rhs[a + b], p) if a + b in rhs else p
+        if any(lhs.get(e, zero) != rhs.get(e, zero) for e in lhs | rhs):
             return (i, j)
     return None
 
@@ -416,12 +471,14 @@ def _coefficient_checks(source, top):
 
 
 def _annihilator(ring, order):
-    """The elements x of ring with order * x = 0, ascending; kept in
-    ring.derived."""
+    """The codes (see _codes) of the x in ring with order * x = 0,
+    ascending; kept in ring.derived."""
     key = ("annihilator", order)
     if key not in ring.derived:
-        ring.derived[key] = tuple(x for x in ring.elements()
-                                  if ring.is_zero(ring.scalar(order, x)))
+        # coordinate l ranges over the multiples of d_l / gcd(order, d_l)
+        steps = [range(0, d * s, d // math.gcd(order, d) * s)
+                 for d, s in _codes(ring).radix]
+        ring.derived[key] = tuple(map(sum, itertools.product(*steps)))
     return ring.derived[key]
 
 
@@ -429,7 +486,8 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
                            tried=None):
     """Depth-first search over generator images in target[x], the image of
     generator i a coefficient tuple (c_{i,0}, ..., c_{i,D}); D = 0 for the
-    images of plain homomorphisms.
+    images of plain homomorphisms.  Coefficients are the codes of target
+    elements (see _codes), in and out.
 
     slots[i] lists, for each searched coefficient of generator i in turn,
     the candidates tried for it.  With sums, generator i has one more
@@ -442,14 +500,14 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
     generator pair (i, j) and every e, with t_ijl the structure constants
     of source, i.e. the images multiply like the generators in target[x].
 
-    Coefficient e of pair (i, j) is checked with target arithmetic as soon
-    as the coefficients it reads are assigned, while the last generator
-    among i, j and the support of g_i g_j is assigned (never earlier, so
-    options are rejected one generator at a time).  A failing prefix skips
-    its whole subtree.  tried[0] counts options: a pruned prefix adds the
-    number of options it stands for, so the count is the one of trying
-    every option in turn.  Raises BudgetExceeded before searching when
-    the product of the option counts exceeds budget.
+    Coefficient e of pair (i, j) is checked on the target's code tables as
+    soon as the coefficients it reads are assigned, while the last
+    generator among i, j and the support of g_i g_j is assigned (never
+    earlier, so options are rejected one generator at a time).  A failing
+    prefix skips its whole subtree.  tried[0] counts options: a pruned
+    prefix adds the number of options it stands for, so the count is the
+    one of trying every option in turn.  Raises BudgetExceeded before
+    searching when the product of the option counts exceeds budget.
     """
     k = source.ngens
     total = 1
@@ -467,19 +525,21 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
     top = free if sums is not None else free - 1
     checks = _coefficient_checks(source, top)
 
-    zero, add, mul, scalar = target.zero(), target.add, target.mul, target.scalar
-    coeffs = [[None] * (top + 1) for _ in range(k)]
+    codes = _codes(target)
+    add, mul, neg, scalar = codes.add, codes.mul, codes.neg, codes.scalar
+    coeffs = [[0] * (top + 1) for _ in range(k)]
 
     def holds(todo):
         for i, j, e, terms, pairs in todo:
-            lhs = zero
+            lhs = 0             # the code of zero: 0 + x = x needs no lookup
             for l, t in terms:
-                lhs = add(lhs, scalar(t, coeffs[l][e]) if t != 1
-                          else coeffs[l][e])
+                x = coeffs[l][e] if t == 1 else scalar[t][coeffs[l][e]]
+                lhs = add[lhs][x] if lhs else x
             ci, cj = coeffs[i], coeffs[j]
-            rhs = zero
+            rhs = 0
             for a, b in pairs:
-                rhs = add(rhs, mul(ci[a], cj[b]))
+                x = mul[ci[a]][cj[b]]
+                rhs = add[rhs][x] if rhs else x
             if lhs != rhs:
                 return False
         return True
@@ -496,7 +556,7 @@ def _multiplicative_images(source, target, slots, budget, sums=None,
             if sums is not None:
                 rest = sums[m]
                 for x in c[:top]:
-                    rest = target.sub(rest, x)
+                    rest = add[rest][neg[x]]
                 c[top] = rest
                 if not holds(checks[m][top]):
                     return
@@ -516,7 +576,9 @@ def enumerate_homs(source, target, budget=1_000_000):
     """All ring homomorphisms source -> target, in lexicographic order of
     generator image coordinates.  Both rings finite."""
     candidates = [[_annihilator(target, d)] for d in source.orders]
-    return [RingHom(source, target, [c for (c,) in coeffs]) for coeffs in
+    element = _codes(target).element
+    return [RingHom(source, target, [element[c] for (c,) in coeffs])
+            for coeffs in
             _multiplicative_images(source, target, candidates, budget)]
 
 
@@ -631,10 +693,14 @@ class SubgroupPresentation:
 
     def coords(self, v):
         """Coordinates of ambient element v in the subgroup basis."""
-        sol = self._solver.solve(list(v))
-        if sol is None:
-            return None
-        return self._relations.project(sol[:self._m])
+        return self.coords_all([v])[0]
+
+    def coords_all(self, vs):
+        """coords of every v in vs, solved as one batch."""
+        sols = self._solver.solve_all([list(v) for v in vs])
+        found = iter(self._relations.project_all(
+            [sol[:self._m] for sol in sols if sol is not None]))
+        return [None if sol is None else next(found) for sol in sols]
 
 
 def _relation_matrix(vectors, orders):
@@ -686,7 +752,12 @@ class QuotientPresentation:
                           for i in self._keep]
 
     def project(self, v):
-        return self._reduce(mat_vec(self._u, list(v)))
+        return self.project_all([v])[0]
+
+    def project_all(self, vs):
+        """project of every v in vs, by one product with U."""
+        uv = mat_mul(self._u, transpose([list(v) for v in vs]))
+        return [self._reduce([row[c] for row in uv]) for c in range(len(vs))]
 
     def project_gen(self, i):
         """project of the i-th ambient unit vector: column i of U."""
@@ -697,25 +768,21 @@ class QuotientPresentation:
                      for r in self._keep)
 
 
-def _ring_from_group(orders, gen_elements, host_mul, coords, unit_coords=None,
-                     label="R"):
+def _ring_from_group(orders, gen_elements, host_mul, coords_all,
+                     unit_coords=None, label="R"):
     """Assemble a FiniteRing on a presented abelian group.
 
     gen_elements live in some host structure with multiplication host_mul;
-    coords maps host elements back to presentation coordinates.
+    coords_all maps a list of host elements to presentation coordinates
+    (None outside the subgroup), once for all k^2 generator products.
     """
     k = len(orders)
-    table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            prod = host_mul(gen_elements[i], gen_elements[j])
-            c = coords(prod)
-            if c is None:
-                raise VerificationFailure(
-                    "product escaped the presented subgroup", witness=(i, j))
-            row.append(c)
-        table.append(tuple(row))
+    coords = coords_all([host_mul(a, b) for a in gen_elements
+                         for b in gen_elements])
+    if None in coords:
+        raise VerificationFailure("product escaped the presented subgroup",
+                                  witness=divmod(coords.index(None), k))
+    table = [coords[i * k:(i + 1) * k] for i in range(k)]
     return validate_ring(orders, table, unit=unit_coords, label=label)
 
 
@@ -728,7 +795,8 @@ def quotient(ring, ideal_gens, label=None):
     ideal = ideal_closure(ring, list(ideal_gens))
     pres = QuotientPresentation(ring.orders, sorted(ideal))
     unit_coords = pres.project(ring.unit) if ring.unit is not None else None
-    q = _ring_from_group(pres.orders, pres.lifts, ring.mul, pres.project,
+    q = _ring_from_group(pres.orders, pres.lifts, ring.mul,
+                         pres.project_all,
                          unit_coords=unit_coords,
                          label=label or f"{ring.label}/I")
     proj = RingHom(ring, q, [pres.project_gen(i) for i in range(ring.ngens)],
@@ -764,7 +832,8 @@ def pullback(f, g, label=None):
         if f.apply(a_ring.unit) == g.apply(b_ring.unit):
             unit_coords = pres.coords(cand)
 
-    d_ring = _ring_from_group(pres.orders, pres.gens, host_mul, pres.coords,
+    d_ring = _ring_from_group(pres.orders, pres.gens, host_mul,
+                              pres.coords_all,
                               unit_coords=unit_coords,
                               label=label or f"{a_ring.label}x_{c_ring.label}{b_ring.label}")
     rho = RingHom(d_ring, a_ring, [gv[:ka] for gv in pres.gens], label="rho")
@@ -796,7 +865,7 @@ def canonicalize(ring, label=None):
     """
     vecs = [ring.gen(i) for i in range(ring.ngens)]
     pres = SubgroupPresentation(ring.orders, vecs)
-    can = _ring_from_group(pres.orders, pres.gens, ring.mul, pres.coords,
+    can = _ring_from_group(pres.orders, pres.gens, ring.mul, pres.coords_all,
                            unit_coords=(pres.coords(ring.unit)
                                         if ring.unit is not None else None),
                            label=label or f"{ring.label}#")
@@ -816,7 +885,7 @@ def kernel_subring(f, label=None):
     """
     src, tgt = f.source, f.target
     pres = _kernel_presentation(src.orders, f.images, tgt.orders)
-    kr = _ring_from_group(pres.orders, pres.gens, src.mul, pres.coords,
+    kr = _ring_from_group(pres.orders, pres.gens, src.mul, pres.coords_all,
                           label=label or f"ker({f.label or f'{src.label}->{tgt.label}'})")
     incl = RingHom(kr, src, pres.gens, label="incl")
     incl.validate()

@@ -47,10 +47,10 @@ def generator_level_images(source, target, options, budget, to_image=None,
                            tried=None):
     """Depth-first search over whole generator images, options[i] listing
     the candidates for generator i; a pair (i, j) is checked with
-    rings._first_nonmultiplicative once i, j and the support of g_i g_j are
-    all assigned.  tried[0] counts every option tried."""
+    carrier_first_nonmultiplicative once i, j and the support of g_i g_j
+    are all assigned.  tried[0] counts every option tried."""
     from hotring.errors import BudgetExceeded
-    from hotring.rings import _all_pairs, _first_nonmultiplicative
+    from hotring.rings import _all_pairs
 
     k = source.ngens
     total = 1
@@ -72,8 +72,8 @@ def generator_level_images(source, target, options, budget, to_image=None,
         for x in options[step]:
             tried[0] += 1
             images[step] = x if to_image is None else to_image(x)
-            if _first_nonmultiplicative(source, target, images,
-                                        checks_at[step]) is None:
+            if carrier_first_nonmultiplicative(source, target, images,
+                                               checks_at[step]) is None:
                 yield from extend(step + 1)
         images[step] = None
 
@@ -131,14 +131,142 @@ def search_elementary_oracle(f0, f1, degree, budget=200_000, var="x"):
     return ("hit", tuple(found))
 
 
+# ---------------------------------------------------------------------------
+# the search by coefficient on tuple arithmetic, as it ran before the search
+# moved onto element codes
+
+
+def multiplicative_images_reference(source, target, slots, budget,
+                                    sums=None, tried=None):
+    """rings._multiplicative_images on target elements (tuples) and the
+    target's own add, mul, scalar and sub: the same check schedule
+    (rings._coefficient_checks), the same order and the same option
+    counts, with no element code or code table."""
+    from hotring.errors import BudgetExceeded
+    from hotring.rings import _coefficient_checks
+
+    k = source.ngens
+    total = 1
+    below = []
+    for gen_slots in slots:
+        counts = [1] * len(gen_slots)
+        for s in range(len(gen_slots) - 1, 0, -1):
+            counts[s - 1] = counts[s] * len(gen_slots[s])
+        below.append(counts)
+        total *= counts[0] * len(gen_slots[0])
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    free = len(slots[0]) if k else 0
+    top = free if sums is not None else free - 1
+    checks = _coefficient_checks(source, top)
+    zero = target.zero()
+    coeffs = [[None] * (top + 1) for _ in range(k)]
+
+    def holds(todo):
+        for i, j, e, terms, pairs in todo:
+            lhs = zero
+            for l, t in terms:
+                lhs = target.add(lhs, target.scalar(t, coeffs[l][e]))
+            rhs = zero
+            for a, b in pairs:
+                rhs = target.add(rhs, target.mul(coeffs[i][a], coeffs[j][b]))
+            if lhs != rhs:
+                return False
+        return True
+
+    tried = tried if tried is not None else [0]
+
+    def extend(m, s):
+        if m == k:
+            yield [tuple(c) for c in coeffs]
+            return
+        c = coeffs[m]
+        if s == free:
+            tried[0] += 1
+            if sums is not None:
+                rest = sums[m]
+                for x in c[:top]:
+                    rest = target.sub(rest, x)
+                c[top] = rest
+                if not holds(checks[m][top]):
+                    return
+            yield from extend(m + 1, 0)
+            return
+        for x in slots[m][s]:
+            c[s] = x
+            if holds(checks[m][s]):
+                yield from extend(m, s + 1)
+            else:
+                tried[0] += below[m][s]
+
+    return extend(0, 0)
+
+
+def _annihilator_elements(ring, order):
+    return [x for x in ring.elements() if ring.is_zero(ring.scalar(order, x))]
+
+
+def enumerate_homs_reference(source, target, budget=1_000_000):
+    """Generator images of every hom, by the tuple-arithmetic search."""
+    slots = [[_annihilator_elements(target, d)] for d in source.orders]
+    return [tuple(c for (c,) in coeffs) for coeffs in
+            multiplicative_images_reference(source, target, slots, budget)]
+
+
+def search_elementary_reference(f0, f1, degree, budget=200_000):
+    """("hit", coefficient lists) or ("miss", searched) of search_elementary,
+    by the tuple-arithmetic search."""
+    src, ring = f0.source, f0.target
+    if degree == 0:
+        slots = [[[lo] if lo == hi else []]
+                 for lo, hi in zip(f0.images, f1.images)]
+        sums = None
+    else:
+        slots = [[[lo]] + [_annihilator_elements(ring, d)] * (degree - 1)
+                 for lo, d in zip(f0.images, src.orders)]
+        sums = f1.images
+    searched = [0]
+    found = next(multiplicative_images_reference(
+        src, ring, slots, budget, sums=sums, tried=searched), None)
+    if found is None:
+        return ("miss", searched[0])
+    return ("hit", found)
+
+
+# ---------------------------------------------------------------------------
+# the exact certificate check on carrier polynomials
+
+
+def carrier_first_nonmultiplicative(source, target, images, pairs=None):
+    """The first generator pair (i, j) among pairs (all, in order, when
+    None) on which sum_l t_ijl images[l] = images[i] images[j] fails in
+    the target's own arithmetic (polynomial arithmetic for a carrier
+    R[var]); None when every pair passes.  The multiplicativity check
+    verify_certificate ran before it convolved var-slices."""
+    if pairs is None:
+        pairs = [(i, j) for i in range(source.ngens)
+                 for j in range(source.ngens)]
+    for i, j in pairs:
+        lhs = None
+        for l, c in enumerate(source.table[i][j]):
+            if c:
+                term = images[l] if c == 1 else target.scalar(c, images[l])
+                lhs = term if lhs is None else target.add(lhs, term)
+        if lhs is None:
+            lhs = target.zero()
+        if lhs != target.mul(images[i], images[j]):
+            return (i, j)
+    return None
+
+
 def verify_certificate_exact_reference(cert):
     """(valid, mode, checked, failure) of the exact check as it ran before
     the single slice pass: per generator image, slicewise membership, the
     order check through the carrier, then both endpoints by substitution
-    against f.apply on the generator; multiplicativity over R[var] last."""
+    against f.apply on the generator; multiplicativity over R[var] last,
+    on carrier polynomials."""
     from hotring.homotopy import (carrier_ring, eval_endpoint,
                                   slicewise_member)
-    from hotring.rings import _all_pairs, _first_nonmultiplicative
 
     ring = cert.target
     carrier = cert.carrier or carrier_ring(ring, cert.var)
@@ -155,7 +283,7 @@ def verify_certificate_exact_reference(cert):
             return (False, "exact", checked, ("endpoint0", i))
         if eval_endpoint(ring, img, cert.var, 1) != cert.f1.apply(src.gen(i)):
             return (False, "exact", checked, ("endpoint1", i))
-    bad = _first_nonmultiplicative(src, carrier, h.images, _all_pairs(src))
+    bad = carrier_first_nonmultiplicative(src, carrier, h.images)
     if bad is not None:
         checked += bad[0] * src.ngens + bad[1] + 1
         return (False, "exact", checked, ("multiplicative", bad))

@@ -227,11 +227,14 @@ def test_gl_group_memo_lives_on_the_ring():
     g = gl_group(r, 2)
     assert gl_group(r, 2) is g
     assert gl_group(corpus()["sq0_z3"], 2) is not g
-    # a homotopy search leaves its check tables and annihilators on the
-    # ring too, and they must not keep it alive either
+    # the group's code tables are the ring's, which hom enumeration and
+    # the homotopy search share; a search leaves its check tables and
+    # annihilators on the ring too, and none of them, nor the code
+    # tables' closures over the ring, may keep it alive
+    assert g._add is r.derived[("codes",)].add
     assert len(homotopy_classes(enumerate_homs(r, r), 2).classes()) == 1
-    assert set(r.derived) == {("gl", 2), ("checks", 0), ("checks", 1),
-                              ("annihilator", 3)}
+    assert set(r.derived) == {("codes",), ("gl", 2), ("checks", 0),
+                              ("checks", 1), ("annihilator", 3)}
     ref = weakref.ref(r)
     del r, g
     gc.collect()

@@ -4,6 +4,7 @@ import argparse
 import ast
 import inspect
 import pathlib
+import textwrap
 
 import hotring
 from hotring import homotopy, poly, simplicial, triangle
@@ -152,10 +153,10 @@ def test_constructions_take_no_variable_names():
     assert offenders == []
 
 
-# the kinds of per-ring table named in FiniteRing.__init__; code tables
-# for GL groups live on the CircleGroup, so that rings that never build
-# one (hom enumeration, homotopy search) pay nothing for them
-DERIVED_KINDS = {"gl", "checks", "annihilator"}
+# the kinds of per-ring table named in FiniteRing.__init__; the element
+# codes and their tables are one kind, shared by GL groups, hom
+# enumeration and the homotopy search
+DERIVED_KINDS = {"codes", "gl", "checks", "annihilator"}
 
 
 def _derived_key_kinds(func):
@@ -186,10 +187,11 @@ def _is_derived(node):
     return isinstance(node, ast.Attribute) and node.attr == "derived"
 
 
-def test_per_ring_tables_are_the_three_named_kinds():
-    """Every key written to a ring's derived tables is ("gl", n),
-    ("checks", top) or ("annihilator", order), the kinds the comment in
-    FiniteRing.__init__ names; nothing else may move onto FiniteRing."""
+def test_per_ring_tables_are_the_four_named_kinds():
+    """Every key written to a ring's derived tables is ("codes",),
+    ("gl", n), ("checks", top) or ("annihilator", order), the kinds the
+    comment in FiniteRing.__init__ names; nothing else may move onto
+    FiniteRing."""
     init = inspect.getsource(hotring.rings.FiniteRing.__init__)
     assert all(f'("{kind}",' in init for kind in DERIVED_KINDS)
     kinds = []
@@ -200,3 +202,32 @@ def test_per_ring_tables_are_the_three_named_kinds():
                   for kind in _derived_key_kinds(func)]
     assert [k for k in kinds if k[2] not in DERIVED_KINDS] == []
     assert {k[2] for k in kinds} == DERIVED_KINDS
+
+
+def test_glk_keeps_no_table_of_its_own():
+    """GL groups read the ring's code tables (rings._codes): glk.py
+    defines no lazily filled table, i.e. no dict subclass and no
+    __missing__."""
+    tree = ast.parse((SRC / "glk.py").read_text())
+    offenders = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)
+                 and (any(isinstance(b, ast.Name) and b.id == "dict"
+                          for b in node.bases)
+                      or any(isinstance(f, ast.FunctionDef)
+                             and f.name == "__missing__" for f in node.body))]
+    assert offenders == []
+
+
+def test_certificate_check_reads_no_search_table():
+    """verify_certificate and its slice convolution stay independent of
+    the search: neither reads a ring's derived tables nor its element
+    codes."""
+    reads = []
+    for func in (homotopy.verify_certificate,
+                 hotring.rings._first_nonmultiplicative):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        reads += [f"{func.__name__}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute)
+                      and node.attr in ("derived", "_codes"))
+                  or (isinstance(node, ast.Name) and node.id == "_codes")]
+    assert reads == []

@@ -14,10 +14,11 @@ from hotring import (BudgetExceeded, FuncHom, HomotopyCertificate,
                      search_elementary, search_homotopy_equivalence,
                      search_up_to, verify_certificate, zero_hom, zero_ring,
                      GRADING)
-from hotring.homotopy import carrier_ring, constant_certificate
+from hotring.homotopy import carrier_ring, constant_certificate, eval_endpoint
 from hotring.poly import iconst, imul, ivar, substitution_hom
 
-from oracles import (enumerate_homs_oracle, search_elementary_oracle,
+from oracles import (enumerate_homs_oracle, enumerate_homs_reference,
+                     search_elementary_oracle, search_elementary_reference,
                      verify_certificate_exact_reference)
 
 RINGS = corpus()
@@ -150,6 +151,26 @@ def test_every_merge_reverifies_from_stored_chain():
         assert verify_certificate(cert).valid
         chain = result.chain_between(i, j)
         assert chain is not None and chain.validate()
+
+
+def test_chain_between_two_hops_and_across_classes():
+    """On Z/3 with zero product the three endomorphisms x -> ax form one
+    class, merged through hom 0 (edges (0, 1) and (0, 2)).  So the chain
+    from 1 to 2 goes 1 -> 0 -> 2: its first step is edge (0, 1) flipped.
+    Homs in different classes have no chain."""
+    r = RINGS["sq0_z3"]
+    result = homotopy_classes(enumerate_homs(r, r), 1)
+    assert sorted(result.edges) == [(0, 1), (0, 2)]
+    chain = result.chain_between(1, 2)
+    assert len(chain) == 2 and chain.validate()
+    first, second = chain.certs
+    assert (first.f0.images, first.f1.images) == \
+        (result.homs[1].images, result.homs[0].images)
+    assert second is result.edges[(0, 2)]
+    u = RINGS["z2_unital"]
+    split = homotopy_classes(enumerate_homs(u, u), 1)
+    assert len(split.classes()) == 2
+    assert split.chain_between(0, 1) is None
 
 
 def test_chain_between_distant_members():
@@ -348,6 +369,49 @@ def test_search_by_coefficient_matches_generator_level_oracle(pair, degree,
         assert outcome.hom.images == expected[1]
 
 
+# ---------------------------------------------------------------------------
+# the search on element codes against the same search on tuple arithmetic
+
+
+def test_enumerate_homs_order_matches_tuple_reference():
+    for (a, b), homs in CORPUS_HOMS.items():
+        assert [h.images for h in homs] == \
+            enumerate_homs_reference(RINGS[a], RINGS[b]), (a, b)
+
+
+def _as_polys(ring, coeff_lists):
+    """The carrier polynomials sum_e c_e x^e, built by carrier arithmetic."""
+    carrier = carrier_ring(ring, "x")
+    images = []
+    for coeffs in coeff_lists:
+        acc = carrier.zero()
+        for e, c in enumerate(coeffs):
+            acc = carrier.add(acc, carrier.monomial(c, (("x", e),)))
+        images.append(acc)
+    return tuple(images)
+
+
+def test_coded_search_matches_tuple_reference():
+    """Same certificate images (canonical as built) and same searched
+    count as the search on tuple arithmetic, for every pair among up to
+    five homs spread over each corpus pair, at degrees 0-2."""
+    outcomes = {"hit": 0, "miss": 0}
+    for (a, b), homs in CORPUS_HOMS.items():
+        sample = homs[::max(1, len(homs) // 5)]
+        for f0, f1 in itertools.product(sample, repeat=2):
+            for d in range(3):
+                kind, value = search_elementary_reference(f0, f1, d)
+                outcome = search_elementary(f0, f1, d)
+                outcomes[kind] += 1
+                if kind == "miss":
+                    assert isinstance(outcome, NotFoundAtBound), (a, b, d)
+                    assert outcome.searched == value, (a, b, d)
+                else:
+                    assert outcome.hom.images == \
+                        _as_polys(RINGS[b], value), (a, b, d)
+    assert min(outcomes.values()) > 100
+
+
 def test_search_needs_maps_with_one_source_and_target():
     r, s = RINGS["sq0_z2"], RINGS["z2_unital"]
     with pytest.raises(HotringError, match="share source and target"):
@@ -374,6 +438,54 @@ def test_exact_check_matches_reference_on_merge_certificates():
                     verify_certificate_exact_reference(cert), (a, b, d)
                 merges += 1
     assert merges > 100
+
+
+def _perturbed(cert):
+    """cert with one slice coefficient of one generator image moved by a
+    generator of R, at every generator, exponent up to one past the top
+    and generator of R: once with cert's endpoints (so that order or an
+    endpoint fails) and once with the moved image's own endpoints (so
+    that multiplicativity decides)."""
+    ring, var, src = cert.target, cert.var, cert.source
+    carrier = carrier_ring(ring, var)
+    top = max(p.degree_in(var) for p in cert.hom.images)
+    for i, e, g in itertools.product(range(src.ngens), range(top + 2),
+                                     range(ring.ngens)):
+        images = list(cert.hom.images)
+        images[i] = carrier.add(images[i],
+                                carrier.monomial(ring.gen(g), ((var, e),)))
+        hom = RingHom(src, carrier, images)
+        yield HomotopyCertificate(hom, cert.f0, cert.f1, var)
+        ends = [RingHom(src, ring, [eval_endpoint(ring, img, var, bit)
+                                    for img in images]) for bit in (0, 1)]
+        yield HomotopyCertificate(hom, *ends, var)
+
+
+def test_slice_check_matches_carrier_reference_on_search_hits():
+    """verify_certificate convolves var-slices where the reference
+    multiplies carrier polynomials.  Their reports agree on every search
+    hit for every corpus pair at degrees 0-2 (the merges of
+    homotopy_classes, and the constant hit of each first hom at degree
+    0), and on every perturbation (see _perturbed) of the first hit of
+    each pair and degree."""
+    hits, failures = 0, {}
+    for (a, b), homs in CORPUS_HOMS.items():
+        firsts = [[search_elementary(homs[0], homs[0], 0)]] if homs else []
+        firsts += [list(homotopy_classes(homs, d).edges.values())
+                   for d in range(3)]
+        for certs in firsts:
+            for n, cert in enumerate(certs):
+                hits += 1
+                for c in [cert, *(_perturbed(cert) if n == 0 else ())]:
+                    got = _report(c)
+                    assert got == verify_certificate_exact_reference(c), \
+                        (a, b)
+                    kind = got[3] and got[3][0]
+                    failures[kind] = failures.get(kind, 0) + 1
+    assert hits > 2000
+    assert set(failures) == {None, "order", "endpoint0", "endpoint1",
+                             "multiplicative"}
+    assert failures["multiplicative"] > 100 and failures[None] > hits
 
 
 def _with_image(cert, i, img):

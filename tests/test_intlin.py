@@ -92,6 +92,41 @@ def test_solve_integer():
     assert LinearSolver([[0]]).solve([5]) is None
 
 
+def _solve_one_at_a_time(solver, rhs):
+    """The solve of A x = b as it ran before batches: U b, S^-1, then V,
+    by matrix-vector products."""
+    ub = mat_vec(solver.u, rhs)
+    y = [0] * solver.n
+    for i in range(solver.m):
+        si = solver.s[i][i] if i < solver.n else 0
+        if (ub[i] % si if si else ub[i]) != 0:
+            return None
+        if si:
+            y[i] = ub[i] // si
+    return mat_vec(solver.v, y)
+
+
+def test_batch_solve_matches_one_at_a_time():
+    """solve_all gives, for every right-hand side, the very solution (or
+    None) of a solve by matrix-vector products, solvable or not, and an
+    empty batch gives nothing."""
+    rng = random.Random(8)
+    unsolvable = 0
+    for _ in range(80):
+        m, n = rng.randrange(0, 5), rng.randrange(0, 5)
+        a = random_matrix(rng, m, n)
+        solver = LinearSolver(a)
+        rhss = [rng.choice((mat_vec(a, [rng.randrange(-3, 4)
+                                         for _ in range(n)]),
+                            [rng.randrange(-5, 6) for _ in range(m)]))
+                for _ in range(rng.randrange(0, 6))]
+        expected = [_solve_one_at_a_time(solver, b) for b in rhss]
+        assert solver.solve_all(rhss) == expected
+        unsolvable += expected.count(None)
+    assert unsolvable > 20
+    assert LinearSolver([[2]]).solve_all([]) == []
+
+
 def test_kernel_basis():
     rng = random.Random(5)
     for _ in range(40):

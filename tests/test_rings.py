@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -7,11 +8,12 @@ from hotring import intlin
 from hotring import (BadUnit, BudgetExceeded, HotringError, IllDefined,
                      MalformedInput, NotAssociative, RingHom, TruncatedPuppe,
                      VerificationFailure, additive_closure, canonicalize,
-                     compose, corpus, enumerate_homs, identity_hom, ideal_closure,
+                     compose, corpus, enumerate_homs, homotopy_classes,
+                     identity_hom, ideal_closure,
                      is_surjective, kernel_subring, product_ring, pullback,
                      quotient, tower_homs, unitalization, validate_ring,
                      zero_hom, zero_ring)
-from hotring.rings import _ring_from_group
+from hotring.rings import _codes, _ring_from_group
 
 RINGS = corpus()
 
@@ -96,7 +98,8 @@ def test_sparse_mul_matches_dense_formula():
 def test_product_outside_presentation_is_verification_failure():
     ring = RINGS["two_z8"]
     with pytest.raises(VerificationFailure, match="escaped") as err:
-        _ring_from_group((4,), [ring.gen(0)], ring.mul, lambda v: None)
+        _ring_from_group((4,), [ring.gen(0)], ring.mul,
+                         lambda vs: [None] * len(vs))
     assert err.value.witness == (0, 0)
 
 
@@ -120,6 +123,65 @@ def test_enumerate_homs_sq0_to_two_z8():
     # g -> x needs 2x = 0 and x^2 = 0 in 2Z/8Z: x in {0, 4}, i.e. coords 0, 2
     homs = enumerate_homs(RINGS["sq0_z2"], RINGS["two_z8"])
     assert sorted(h.images for h in homs) == [((0,),), ((2,),)]
+
+
+def _apply_by_ring_arithmetic(hom, x):
+    """sum_i x_i images[i] by the target's scalar and add, term by term."""
+    t = hom.target
+    acc = t.zero()
+    for c, img in zip(x, hom.images):
+        if c:
+            acc = t.add(acc, t.scalar(c, img))
+    return acc
+
+
+def test_apply_into_a_finite_ring_matches_ring_arithmetic():
+    """RingHom.apply sums coordinate by coordinate and reduces once; the
+    value is the one of k scalar multiples and k additions, on every
+    element of the source and on unreduced coordinates too."""
+    rng = random.Random(4)
+    for a in sorted(RINGS):
+        for b in sorted(RINGS):
+            for hom in enumerate_homs(RINGS[a], RINGS[b])[:6]:
+                xs = list(hom.source.elements()) + [
+                    tuple(rng.randrange(-9, 10) for _ in hom.source.orders)
+                    for _ in range(5)]
+                for x in xs:
+                    assert hom.apply(x) == _apply_by_ring_arithmetic(hom, x)
+
+
+def test_codes_are_positions_and_tables_agree_with_tuples():
+    """The code of an element is its position in ring.elements() (zero is
+    0), also on mixed orders, and every table entry is the code of the
+    tuple operation."""
+    mixed = validate_ring((2, 3, 4), [[(0, 0, 0)] * 3] * 3, label="mixed")
+    for ring in list(RINGS.values()) + [mixed]:
+        codes = _codes(ring)
+        elems = list(ring.elements())
+        assert [codes.code[x] for x in elems] == list(range(len(elems)))
+        assert [codes.element[c] for c in range(len(elems))] == elems
+        assert codes.code[ring.zero()] == 0
+        for x, y in itertools.product(elems, repeat=2):
+            cx, cy = codes.code[x], codes.code[y]
+            assert codes.add[cx][cy] == codes.code[ring.add(x, y)]
+            assert codes.mul[cx][cy] == codes.code[ring.mul(x, y)]
+        for x in elems:
+            assert codes.neg[codes.code[x]] == codes.code[ring.neg(x)]
+            assert codes.scalar[3][codes.code[x]] == \
+                codes.code[ring.scalar(3, x)]
+    # an unreduced tuple is coded as its reduction
+    assert _codes(mixed).code[(3, -1, 6)] == _codes(mixed).code[(1, 2, 2)]
+
+
+def test_large_rings_keep_codes_but_no_table_entries():
+    """Up to 1024 elements a ring keeps its table entries; a larger one
+    keeps only the translations, and its homs are still all found."""
+    for k, kept in ((10, True), (11, False)):
+        big = validate_ring((2,) * k, [[(0,) * k] * k] * k, label=f"sq0^{k}")
+        homs = enumerate_homs(RINGS["sq0_z2"], big)
+        assert len(homs) == 2 ** k
+        codes = _codes(big)
+        assert bool(codes.mul) == kept and len(codes.element) == 2 ** k
 
 
 def test_enumerate_homs_budget():
