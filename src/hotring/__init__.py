@@ -31,9 +31,9 @@ from .homotopy import (HomotopyCertificate, HomotopyChain, NotFoundAtBound,
                        precompose_certificate, search_elementary,
                        search_homotopy_equivalence, search_up_to,
                        verify_certificate)
-from .glk import (CircleGroup, Pi0Presentation, QiMatrix, circle,
-                  circle_determinant, determinant_certificate, gl_group,
-                  kv1_approx, quasi_inverse, stabilize, strict_pi0)
+from .glk import (CircleGroup, Pi0Presentation, circle_determinant,
+                  determinant_certificate, gl_group, kv1_approx,
+                  quasi_inverse, stabilize, strict_pi0)
 from .triangle import (FibrationFamily, K0Diagram, K0Result, LeftTriangle,
                        MappingPath, PuppeSequence, TruncatedPuppe,
                        check_axioms, factorize, gl_fibration_flag,

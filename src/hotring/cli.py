@@ -373,6 +373,18 @@ def _params(args):
     return out
 
 
+def _answers(record, request):
+    """Whether a stored record was computed for this request: its command,
+    inputs, params and version are the request's, its exit code one that a
+    result is stored with and its payload an object.  Anything else is
+    corrupt, and the command recomputes and rewrites it."""
+    return (record is not None
+            and all(record.get(k) == v for k, v in request.items())
+            and type(record.get("exit_code")) is int
+            and record["exit_code"] in (0, 2)
+            and isinstance(record.get("payload"), dict))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     store_root = args.out or default_store_root()
@@ -381,13 +393,14 @@ def main(argv=None):
     try:
         files, inputs = _read_inputs(args)
         params = _params(args)
-        key = content_hash({"command": args.command, "inputs": inputs,
-                            "params": params, "version": TOOL_VERSION})
+        request = {"command": args.command, "inputs": inputs,
+                   "params": params, "version": TOOL_VERSION}
+        key = content_hash(request)
         if store is not None:
             cached = store.load(key)
-            if cached is not None:
+            if _answers(cached, request):
                 _emit(cached, args.json)
-                return int(cached.get("exit_code", 0))
+                return cached["exit_code"]
         code, payload = COMMANDS[args.command](args, _load(files))
         record = {
             "command": args.command,

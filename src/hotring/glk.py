@@ -35,15 +35,16 @@ unit of A[t] with constant term 1, its higher coefficients are
 nilpotent, and so det(I + P(1)) lies in 1 + N.  The allowed ends are one
 precomputed set (_path_ends), tested once per candidate.
 
-The finite group GL_n(A) runs on integer codes (CircleGroup): an element
-of A is coded by its index in ring.elements(), which is lexicographic,
-so coded matrices sort as the matrices do.  The codes and their add, mul
+All matrix arithmetic runs on integer codes (CircleGroup): an element of
+A is coded by its index in ring.elements(), which is lexicographic, so
+coded matrices sort as the matrices do.  The codes and their add, mul
 and neg tables are the ring's own (rings._codes), filled entry by entry
-on first use and shared by every GL group of A and the homotopy search;
-the circle-power walk, the endpoint sums, the t-adic recurrence, the
-subgroup closure, the normality test and the coset partition all run on
-codes, and only the public surface (CircleGroup.elements, witnesses,
-index, op, inv and every Pi0Presentation field) holds matrices.
+on first use and shared by every GL group of A and the homotopy search.
+Circle powers, endpoint sums, the t-adic recurrence, closure, normality,
+cosets and determinants (Leibniz on the tables) never call the ring's
+tuple arithmetic; only the public surface (CircleGroup.elements,
+witnesses, index, op, inv, quasi_inverse's witness, circle_determinant
+and every Pi0Presentation field) holds matrices and ring elements.
 """
 
 from __future__ import annotations
@@ -59,56 +60,7 @@ from .rings import FiniteRing, _codes, _UnionFind
 
 
 # ---------------------------------------------------------------------------
-# matrices over an arbitrary ring
-
-
-def mat_zero(ring, n):
-    return tuple(tuple(ring.zero() for _ in range(n)) for _ in range(n))
-
-
-def mat_add(ring, a, b):
-    return tuple(tuple(ring.add(x, y) for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def mat_neg(ring, a):
-    return tuple(tuple(ring.neg(x) for x in row) for row in a)
-
-
-def mat_mul(ring, a, b):
-    n = len(a)
-    return tuple(tuple(ring.sum(ring.mul(a[i][k], b[k][j]) for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def circle(ring, a, b):
-    """The group law on M parts: (I+a)(I+b) = I + (a o b)."""
-    return mat_add(ring, mat_add(ring, a, b), mat_mul(ring, a, b))
-
-
-def is_circle_witness(ring, m, n_mat):
-    z = mat_zero(ring, len(m))
-    return circle(ring, m, n_mat) == z and circle(ring, n_mat, m) == z
-
-
-class QiMatrix:
-    """A matrix with its quasi-inverse witness; the identity is exact."""
-
-    def __init__(self, ring, entries, witness):
-        self.ring = ring
-        self.n = len(entries)
-        self.entries = entries
-        self.witness = witness
-        if not is_circle_witness(ring, entries, witness):
-            raise VerificationFailure("quasi-inverse witness fails",
-                                      witness=(entries, witness))
-
-    def compose(self, other):
-        return QiMatrix(self.ring, circle(self.ring, self.entries, other.entries),
-                        circle(self.ring, other.witness, self.witness))
-
-    def inverse(self):
-        return QiMatrix(self.ring, self.witness, self.entries)
+# deciding quasi-invertibility
 
 
 class QiResult:
@@ -124,10 +76,6 @@ class QiResult:
         return f"<qi {self.status}; trace {self.trace}>"
 
 
-# ---------------------------------------------------------------------------
-# deciding quasi-invertibility
-
-
 def _is_commutative(ring):
     for i in range(ring.ngens):
         for j in range(i + 1, ring.ngens):
@@ -136,42 +84,11 @@ def _is_commutative(ring):
     return True
 
 
-def _det(ring, mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = ring.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = None
-        for i in range(n):
-            prod = mat[i][perm[i]] if prod is None else ring.mul(prod, mat[i][perm[i]])
-        acc = ring.add(acc, ring.scalar(sign, prod))
-    return acc
-
-
-def _perm_sign(perm):
-    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-    return -1 if inversions % 2 else 1
-
-
-def _is_nilpotent(ring, x):
-    """Whether some power of x is 0; in a finite ring the powers of x
-    reach 0 or repeat."""
-    seen, p = set(), x
-    while not ring.is_zero(p):
-        if p in seen:
-            return False
-        seen.add(p)
-        p = ring.mul(p, x)
-    return True
-
-
 def _circle_powers(m, zero, product):
     """The circle powers m, m o m, ... of a square matrix over a finite
     ring, up to the first one that is 0 or repeats, and whether 0 came;
-    product is the circle product, on matrices (circle) or on codes
-    (CircleGroup._op), and zero the identity in the same form.
+    m and zero, the identity, are coded matrices and product is the
+    circle product on codes (CircleGroup._op).
 
     (M_n(A), o) is a finite monoid with identity 0, so m is quasi-invertible
     exactly when m^{o(k+1)} = 0 for some k, and m^{o k} is then its unique
@@ -252,20 +169,22 @@ def quasi_inverse(ring, m):
     FiniteRing answer unknown.
     """
     if isinstance(ring, FiniteRing):
-        powers, reached_zero = _circle_powers(
-            m, mat_zero(ring, len(m)), functools.partial(circle, ring))
+        # a group given no elements only codes, on the ring's shared tables
+        group = CircleGroup(ring, len(m), (), {})
+        powers, reached_zero = _circle_powers(group._encode(m), group._zero,
+                                              group._op)
         trace = [f"circle powers({len(powers)})"]
         if not reached_zero:
             return QiResult("not_qi", None, trace)
         # m = 0 is its own inverse
-        return QiResult("ok", powers[-1] if powers else m, trace)
+        return QiResult("ok", group._decode(powers[-1]) if powers else m,
+                        trace)
 
     if not (isinstance(ring, PolyLike) and len(ring.vars) == 1
             and isinstance(ring.scalar_base, FiniteRing)):
         return QiResult("unknown", None, ["no strategy applied"])
 
     var, n = ring.vars[0], len(m)
-    # a group given no elements only codes, on the ring's shared tables
     group = CircleGroup(ring.scalar_base, n, (), {})
     top = max((p.degree_in(var) for row in m for p in row), default=0)
     coeffs = [list(group._zero) for _ in range(top + 1)]
@@ -317,7 +236,7 @@ class CircleGroup:
         self._terms = tuple(
             (i * n + j, tuple((i * n + k, k * n + j) for k in range(n)))
             for i in range(n) for j in range(n))
-        self._zero = self._encode(mat_zero(ring, n))
+        self._zero = (0,) * (n * n)   # zero's code is 0
         self._matrix = {}             # code -> matrix, for the elements
         if elements is None:
             inverse = self._circle_power_walk()
@@ -410,7 +329,7 @@ class CircleGroup:
         return self.witnesses[a]
 
     def identity(self):
-        return mat_zero(self.ring, self.n)
+        return self._decode(self._zero)
 
     def order(self):
         return len(self.elements)
@@ -465,11 +384,51 @@ class CircleGroup:
         return seen, kept
 
     @functools.cached_property
+    def _leibniz(self):
+        """Leibniz's terms for n x n: for each permutation p of range(n),
+        whether it is odd and the flat indices of the entries (i, p(i))."""
+        n = self.n
+        return [(sum(a > b for a, b in itertools.combinations(p, 2)) % 2,
+                 tuple(i * n + j for i, j in enumerate(p)))
+                for p in itertools.permutations(range(n))]
+
+    def _det(self, c):
+        """The code of det(I + M), M coded c, over a commutative unital A,
+        by Leibniz's formula on the ring's code tables."""
+        add, mul, neg = self._add, self._mul, self._neg
+        one = self._code[self.ring.unit]
+        shifted = list(c)
+        for e in range(0, len(c), self.n + 1):
+            shifted[e] = add[c[e]][one]
+        acc = 0
+        for odd, cells in self._leibniz:
+            prod = shifted[cells[0]]
+            for e in cells[1:]:
+                prod = mul[prod][shifted[e]]
+            acc = add[acc][neg[prod] if odd else prod]
+        return acc
+
+    @functools.cached_property
     def determinants(self):
-        """Code -> det(I + M) for every M in the group, over a commutative
-        unital A; computed on first use and kept."""
-        return {c: circle_determinant(self.ring, m)
-                for c, m in self._matrix.items()}
+        """Code -> code of det(I + M) for every M in the group, over a
+        commutative unital A; computed on first use and kept."""
+        return {c: self._det(c) for c in self._codes}
+
+    @functools.cached_property
+    def _one_plus_nilradical(self):
+        """The codes of 1 + N, N the nilradical of a commutative unital A,
+        computed on first use and kept: x is nilpotent when its powers
+        reach 0, the code of zero, before they repeat."""
+        add, mul, one = self._add, self._mul, self._code[self.ring.unit]
+        out = set()
+        for x in range(self.ring.size()):
+            seen, p = set(), x
+            while p and p not in seen:
+                seen.add(p)
+                p = mul[p][x]
+            if not p:
+                out.add(add[one][x])
+        return out
 
     def subgroup_closure(self, gens):
         """The subgroup generated by gens, as a _Subgroup."""
@@ -568,10 +527,8 @@ def _path_ends(group):
     ends = set(group._codes)
     ends.discard(group._zero)
     if ring.unit is not None and _is_commutative(ring):
-        one_plus_n = {ring.add(ring.unit, x) for x in ring.elements()
-                      if _is_nilpotent(ring, x)}
-        dets = group.determinants
-        ends = {c for c in ends if dets[c] in one_plus_n}
+        dets, allowed = group.determinants, group._one_plus_nilradical
+        ends = {c for c in ends if dets[c] in allowed}
     return ends
 
 
@@ -655,10 +612,9 @@ def stabilize(ring, m, bigger):
 
 
 def circle_determinant(ring, m):
-    """det(I + M) over a commutative unital finite ring."""
-    return _det(ring, tuple(tuple(ring.add(e, ring.unit) if i == j else e
-                                  for j, e in enumerate(row))
-                            for i, row in enumerate(m)))
+    """det(I + M) over a commutative unital finite ring, on codes."""
+    group = CircleGroup(ring, len(m), (), {})
+    return group._element[group._det(group._encode(m))]
 
 
 def determinant_certificate(pres):
@@ -670,17 +626,18 @@ def determinant_certificate(pres):
     determinant factor through the quotient, which is then at least as
     large as the determinant image; otherwise ``lower_bound_matches``
     bounds nothing.  Returns the comparison data."""
-    ring = pres.group.ring
+    group = pres.group
+    ring = group.ring
     if ring.unit is None or not _is_commutative(ring):
         raise BadUnit("determinant certificate needs a commutative ring "
                       "with unit")
-    dets = pres.group.determinants
-    dets_sub = {dets[pres.group._encode(h)] for h in pres.subgroup}
+    dets = group.determinants
+    dets_sub = {dets[group._encode(h)] for h in pres.subgroup}
     dets_all = set(dets.values())
     return {
-        "subgroup_determinants": sorted(dets_sub),
+        "subgroup_determinants": sorted(group._element[d] for d in dets_sub),
         "determinant_image_order": len(dets_all),
-        "subgroup_in_kernel": dets_sub == {ring.unit},
+        "subgroup_in_kernel": dets_sub == {group._code[ring.unit]},
         "lower_bound_matches": len(dets_all) <= pres.order,
     }
 

@@ -36,12 +36,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    """a * v, summing over the nonzero entries of v only."""
-    support = [j for j, y in enumerate(v) if y]
-    return [sum(row[j] * v[j] for j in support) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

@@ -291,6 +291,92 @@ def verify_certificate_exact_reference(cert):
 
 
 # ---------------------------------------------------------------------------
+# matrices over any ring by its tuple arithmetic: the reference that the
+# coded arithmetic of hotring.glk is compared against
+
+
+def mat_zero(ring, n):
+    return tuple(tuple(ring.zero() for _ in range(n)) for _ in range(n))
+
+
+def mat_add(ring, a, b):
+    return tuple(tuple(ring.add(x, y) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def mat_neg(ring, a):
+    return tuple(tuple(ring.neg(x) for x in row) for row in a)
+
+
+def mat_mul(ring, a, b):
+    n = len(a)
+    return tuple(tuple(ring.sum(ring.mul(a[i][k], b[k][j]) for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def circle(ring, a, b):
+    """The group law on M parts: (I+a)(I+b) = I + (a o b)."""
+    return mat_add(ring, mat_add(ring, a, b), mat_mul(ring, a, b))
+
+
+def is_circle_witness(ring, m, n_mat):
+    z = mat_zero(ring, len(m))
+    return circle(ring, m, n_mat) == z and circle(ring, n_mat, m) == z
+
+
+def _perm_sign(perm):
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+def det(ring, mat):
+    """Leibniz's determinant by the ring's tuple arithmetic."""
+    from itertools import permutations
+
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    acc = ring.zero()
+    for perm in permutations(range(n)):
+        prod = None
+        for i in range(n):
+            prod = mat[i][perm[i]] if prod is None \
+                else ring.mul(prod, mat[i][perm[i]])
+        acc = ring.add(acc, ring.scalar(_perm_sign(perm), prod))
+    return acc
+
+
+def circle_determinant(ring, m):
+    """det(I + m) over a commutative unital finite ring."""
+    return det(ring, _unit_shift(ring, m))
+
+
+def is_nilpotent(ring, x):
+    """Whether some power of x is 0; in a finite ring the powers of x
+    reach 0 or repeat."""
+    seen, p = set(), x
+    while not ring.is_zero(p):
+        if p in seen:
+            return False
+        seen.add(p)
+        p = ring.mul(p, x)
+    return True
+
+
+def circle_power_quasi_inverse(ring, m):
+    """(status, witness) over a finite ring by tuple circle powers: m is
+    quasi-invertible when its powers reach 0, and the last power before
+    0 is then its witness; a repeat first means it is not."""
+    zero, seen, p = mat_zero(ring, len(m)), [], m
+    while p != zero and p not in seen:
+        seen.append(p)
+        p = circle(ring, p, m)
+    if p != zero:
+        return "not_qi", None
+    return "ok", seen[-1] if seen else m
+
+
+# ---------------------------------------------------------------------------
 # quasi-invertibility over a finite ring by the strategy cascade that came
 # before the circle-power walk
 
@@ -305,8 +391,6 @@ def matrices(ring, n):
 
 def witnesses_by_enumeration(ring, m):
     """Every N with m o N = 0 = N o m, by trying all n x n matrices."""
-    from hotring.glk import is_circle_witness
-
     return [w for w in matrices(ring, len(m)) if is_circle_witness(ring, m, w)]
 
 
@@ -329,8 +413,6 @@ def _unit_shift(ring, m):
 def _adjugate(ring, mat):
     """adj(mat)[i][j]: (-1)^(i+j) times the determinant of mat without row
     j and column i."""
-    from hotring.glk import _det
-
     def minor(r0, c0):
         return tuple(tuple(x for c, x in enumerate(row) if c != c0)
                      for r, row in enumerate(mat) if r != r0)
@@ -338,15 +420,13 @@ def _adjugate(ring, mat):
     n = len(mat)
     if n == 1:
         return ((_one(ring),),)
-    return tuple(tuple(ring.scalar((-1) ** (i + j), _det(ring, minor(j, i)))
+    return tuple(tuple(ring.scalar((-1) ** (i + j), det(ring, minor(j, i)))
                        for j in range(n)) for i in range(n))
 
 
 def _classical_witness(ring, m, inv_det):
     """inv_det adj(I + m) - I: the quasi-inverse of m over a commutative
     ring when inv_det is the inverse of det(I + m)."""
-    from hotring.glk import mat_add, mat_neg, mat_zero
-
     inverse = tuple(tuple(ring.mul(inv_det, x) for x in row)
                     for row in _adjugate(ring, _unit_shift(ring, m)))
     identity = _unit_shift(ring, mat_zero(ring, len(m)))
@@ -358,8 +438,6 @@ def _invert_in_unital(ring, u):
     unital; None when u is not a unit.  A polynomial is a unit exactly when
     its constant term is a unit and every higher coefficient is
     nilpotent."""
-    from hotring.glk import _is_nilpotent
-
     base = ring.scalar_base
     u0 = next((c for mono, c in u.terms if not mono), base.zero())
     inv0 = next((v for v in base.elements() if base.mul(u0, v) == base.unit),
@@ -367,7 +445,7 @@ def _invert_in_unital(ring, u):
     if inv0 is None:
         return None
     w = ring.sub(u, ring.const(u0))
-    if not all(_is_nilpotent(base, c) for _, c in w.terms):
+    if not all(is_nilpotent(base, c) for _, c in w.terms):
         return None
     inv0p = ring.const(inv0)
     term, acc = ring.const(base.unit), ring.zero()
@@ -382,8 +460,7 @@ def quasi_inverse_cascade(ring, m, budget=200_000):
     over a nilpotent ring, (b) adjugate and determinant of I + m over a
     commutative unital ring, (c) enumeration of every witness within the
     budget; otherwise ("unknown", None)."""
-    from hotring.glk import (_det, _is_commutative, is_circle_witness,
-                             mat_add, mat_mul, mat_neg, mat_zero)
+    from hotring.glk import _is_commutative
 
     n = len(m)
     e = ring.nilpotency_class()
@@ -397,9 +474,9 @@ def quasi_inverse_cascade(ring, m, budget=200_000):
         if is_circle_witness(ring, m, acc):
             return "ok", acc
     if ring.unit is not None and _is_commutative(ring):
-        det = _det(ring, _unit_shift(ring, m))
+        d = circle_determinant(ring, m)
         inv_det = next((v for v in ring.elements()
-                        if ring.mul(det, v) == ring.unit), None)
+                        if ring.mul(d, v) == ring.unit), None)
         if inv_det is None:
             return "not_qi", None
         witness = _classical_witness(ring, m, inv_det)
@@ -421,9 +498,7 @@ def adjugate_quasi_inverse(ring, m):
     adjugate and determinant of I + m: ("not_qi", None) when the
     determinant is not a unit of A[t], and ("unknown", None) when the
     witness fails its check."""
-    from hotring.glk import _det, is_circle_witness
-
-    inv_det = _invert_in_unital(ring, _det(ring, _unit_shift(ring, m)))
+    inv_det = _invert_in_unital(ring, circle_determinant(ring, m))
     if inv_det is None:
         return "not_qi", None
     witness = _classical_witness(ring, m, inv_det)
@@ -440,8 +515,7 @@ def quasi_inverse_poly_cascade(ring, m, witness_degree, budget=200_000):
     ("unknown", None)."""
     from itertools import product
 
-    from hotring.glk import (_is_commutative, is_circle_witness, mat_add,
-                             mat_mul, mat_neg, mat_zero)
+    from hotring.glk import _is_commutative
 
     base, n = ring.scalar_base, len(m)
     e = base.nilpotency_class()
@@ -485,7 +559,7 @@ def witnesses_up_to_degree(ring, m, degree):
     products coefficient by coefficient in A."""
     from itertools import product
 
-    from hotring.glk import _poly_matrix, mat_add, mat_mul, mat_zero
+    from hotring.glk import _poly_matrix
 
     base, var, n = ring.scalar_base, ring.vars[0], len(m)
     top = max(p.degree_in(var) for row in m for p in row)

@@ -324,6 +324,75 @@ def test_corrupt_store_record_is_recomputed(workdir, capsys):
         json.loads(first)["payload"]
 
 
+KV1_ARGV = ["kv1", "--ring", "sq0_z2.json", "--size", "1", "--degree", "1"]
+
+
+# rewrites of a stored kv1 record, from its object and its text
+TAMPERINGS = {
+    "exit code not an int": lambda rec, text: json.dumps({"exit_code": "x"}),
+    "no payload": lambda rec, text: json.dumps({"exit_code": 0}),
+    "exit 7, list payload": lambda rec, text: json.dumps(
+        {"exit_code": 7, "payload": []}),
+    "truncated": lambda rec, text: text[:len(text) // 2],
+    "a JSON list": lambda rec, text: json.dumps([rec]),
+    "wrong version": lambda rec, text: json.dumps({**rec,
+                                                   "version": "0.0.9"}),
+    "other params": lambda rec, text: json.dumps(
+        {**rec, "params": {**rec["params"], "degree": 2}}),
+    "bool exit code": lambda rec, text: json.dumps({**rec,
+                                                    "exit_code": False}),
+}
+
+
+@pytest.mark.parametrize("how", list(TAMPERINGS))
+def test_tampered_record_is_recomputed(relative, capsys, how):
+    # a record not computed for the request is a miss: the command
+    # recomputes, exits with the computed code and rewrites the record,
+    # which the next run serves byte for byte
+    code, first = run(capsys, KV1_ARGV)
+    assert code == 0
+    (path,) = (relative / "store").glob("*.json")
+    stored = path.read_text()
+    path.write_text(TAMPERINGS[how](json.loads(stored), stored))
+    code, again = run(capsys, KV1_ARGV)
+    assert code == 0
+    recomputed = json.loads(again)
+    assert recomputed == {**json.loads(first),
+                          "timestamp": recomputed["timestamp"]}
+    assert type(recomputed["exit_code"]) is int
+    assert json.loads(path.read_text()) == recomputed
+    assert run(capsys, KV1_ARGV) == (0, again)
+
+
+def test_edited_payload_of_a_well_formed_record_is_served(relative, capsys):
+    # a record is checked against its request, not against its content:
+    # an edited payload in a well-formed record is served as stored
+    run(capsys, KV1_ARGV)
+    (path,) = (relative / "store").glob("*.json")
+    record = json.loads(path.read_text())
+    record["payload"]["classes"] = 5
+    path.write_text(json.dumps(record))
+    code, out = run(capsys, KV1_ARGV)
+    assert code == 0 and json.loads(out)["payload"]["classes"] == 5
+
+
+def test_tampered_record_is_recomputed_under_optimized_python(relative,
+                                                              capsys):
+    code, first = run(capsys, KV1_ARGV)
+    (path,) = (relative / "store").glob("*.json")
+    path.write_text(json.dumps({"exit_code": 0}))
+    import hotring
+    src = os.path.dirname(os.path.dirname(hotring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-m", "hotring.cli"]
+                          + KV1_ARGV + ["--json"], env=env, cwd=relative,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"] == json.loads(first)["payload"]
+    assert json.loads(path.read_text())["payload"] == \
+        json.loads(first)["payload"]
+
+
 def test_round_trips():
     ring = RINGS["graded_dual"]
     assert ring_to_json(ring_from_json(ring_to_json(ring))) == ring_to_json(ring)

@@ -10,17 +10,20 @@ import pytest
 
 import hotring
 from hotring import (BadUnit, CircleGroup, IndexOutOfRange, NotAssociative,
-                     PolyRing, QiMatrix, VerificationFailure, circle,
-                     circle_determinant, corpus, determinant_certificate,
-                     enumerate_homs, gl_group, homotopy_classes, kv1_approx,
-                     quasi_inverse, stabilize, strict_pi0, validate_ring)
-from hotring.glk import (_path_ends, _poly_matrix, _quotient_invariants,
-                         is_circle_witness, mat_zero)
+                     PolyRing, VerificationFailure, circle_determinant,
+                     corpus, determinant_certificate, enumerate_homs,
+                     gl_group, homotopy_classes, kv1_approx, quasi_inverse,
+                     stabilize, strict_pi0, validate_ring)
+from hotring.glk import (_is_commutative, _path_ends, _poly_matrix,
+                         _quotient_invariants)
 from hotring.poly import constant_of, evaluate
 from hotring.rings import FiniteRing
-from oracles import (adjugate_quasi_inverse, matrices, quasi_inverse_cascade,
+from oracles import (adjugate_quasi_inverse, circle,
+                     circle_power_quasi_inverse, is_circle_witness, matrices,
+                     mat_zero, quasi_inverse_cascade,
                      quasi_inverse_poly_cascade, witnesses_by_enumeration,
                      witnesses_up_to_degree)
+from oracles import circle_determinant as tuple_circle_determinant
 
 RINGS = corpus()
 
@@ -67,18 +70,20 @@ def test_nilpotent_series_on_upper_triangular():
 
 
 def test_qi_matrix_class_and_circle_composition():
+    # the group law of gl_group composes witnesses: (a o b)^-1 = b^-1 o a^-1,
+    # each checked by the tuple circle product, and inversion is an
+    # involution
     r = RINGS["sq0_z3"]
+    g = gl_group(r, 2)
     rng = random.Random(1)
     for _ in range(30):
-        m1 = tuple(tuple(r.sample(rng) for _ in range(2)) for _ in range(2))
-        m2 = tuple(tuple(r.sample(rng) for _ in range(2)) for _ in range(2))
-        q1 = QiMatrix(r, m1, quasi_inverse(r, m1).witness)
-        q2 = QiMatrix(r, m2, quasi_inverse(r, m2).witness)
-        q = q1.compose(q2)
-        assert is_circle_witness(r, q.entries, q.witness)
-        assert q1.inverse().entries == q1.witness
-    with pytest.raises(VerificationFailure):
-        QiMatrix(r, m1, m1 if m1 != mat_zero(r, 2) else m2)
+        a, b = rng.choice(g.elements), rng.choice(g.elements)
+        ab, inv = g.op(a, b), g.op(g.inv(b), g.inv(a))
+        assert is_circle_witness(r, ab, inv)
+        assert g.inv(ab) == inv
+        assert g.inv(g.inv(a)) == a and is_circle_witness(r, a, g.inv(a))
+    a, b = g.elements[1], g.elements[2]
+    assert not is_circle_witness(r, g.op(a, b), g.op(g.inv(a), g.inv(a)))
 
 
 def test_gl1_square_zero_is_the_additive_group():
@@ -371,20 +376,24 @@ def test_degenerate_levels_are_typed_errors(build, bad):
 @pytest.mark.parametrize("label", ["graded_dual", "z3_unital", "z4_unital"])
 def test_determinants_once_per_group_element(label, monkeypatch):
     # the endpoint filter and the side certificate read one map on the
-    # group, and the certificate keeps the values of a direct computation
+    # group, and the certificate keeps the values of the tuple Leibniz
+    # determinant
     ring = corpus()[label]
     seen = []
+    det = CircleGroup._det
 
-    def counted(r, m):
-        seen.append(m)
-        return circle_determinant(r, m)
+    def counted(self, c):
+        seen.append(c)
+        return det(self, c)
 
-    monkeypatch.setattr(hotring.glk, "circle_determinant", counted)
+    monkeypatch.setattr(CircleGroup, "_det", counted)
     pres = kv1_approx(ring, 2, 1)
     cert = determinant_certificate(pres)
-    assert sorted(seen) == pres.group.elements
-    dets_sub = {circle_determinant(ring, h) for h in pres.subgroup}
-    dets_all = {circle_determinant(ring, g) for g in pres.group.elements}
+    group = pres.group
+    assert sorted(seen) == group._codes
+    assert [group._decode(c) for c in group._codes] == group.elements
+    dets_sub = {tuple_circle_determinant(ring, h) for h in pres.subgroup}
+    dets_all = {tuple_circle_determinant(ring, g) for g in group.elements}
     assert cert == {"subgroup_determinants": sorted(dets_sub),
                     "determinant_image_order": len(dets_all),
                     "subgroup_in_kernel": dets_sub == {ring.unit},
@@ -551,6 +560,41 @@ def test_finite_quasi_inverse_matches_the_cascade(label, n):
     group = gl_group(ring, n)
     assert group.elements == sorted(expected)
     assert group.witnesses == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_finite_quasi_inverse_matches_tuple_circle_powers(label, n):
+    # the circle powers on codes decide as the tuple circle powers do, on
+    # every matrix of a corpus ring with at most 5000 of them
+    ring = RINGS[label]
+    assert ring.size() ** (n * n) <= 5000
+    for m in matrices(ring, n):
+        res = quasi_inverse(ring, m)
+        assert (res.status, res.witness) == circle_power_quasi_inverse(ring,
+                                                                       m)
+
+
+COMMUTATIVE_UNITAL = [label for label in sorted(RINGS)
+                      if RINGS[label].unit is not None
+                      and _is_commutative(RINGS[label])]
+
+
+@pytest.mark.parametrize("label,n", [(label, n) for label in COMMUTATIVE_UNITAL
+                                     for n in (1, 2)] + [("z3_unital", 3)])
+def test_coded_determinant_matches_tuple_leibniz(label, n):
+    # det(I + M) by Leibniz on the code tables equals Leibniz by the ring's
+    # tuple arithmetic on every element of GL_n(A), GL_3(F_3) included
+    ring = RINGS[label]
+    group = gl_group(ring, n)
+    dets = group.determinants
+    assert list(dets) == group._codes
+    for m in group.elements:
+        expected = tuple_circle_determinant(ring, m)
+        assert group._element[dets[group._encode(m)]] == expected
+        assert circle_determinant(ring, m) == expected
+    if label == "z3_unital":
+        assert group.order() == {1: 2, 2: 48, 3: 11232}[n]
 
 
 @pytest.mark.parametrize("label,n", [(label, 1) for label in sorted(RINGS)]

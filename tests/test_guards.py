@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import inspect
 import pathlib
 import textwrap
@@ -231,3 +232,47 @@ def test_certificate_check_reads_no_search_table():
                       and node.attr in ("derived", "_codes"))
                   or (isinstance(node, ast.Name) and node.id == "_codes")]
     assert reads == []
+
+
+# a ring's tuple arithmetic; glk.py computes on the ring's code tables
+TUPLE_ARITHMETIC = {"add", "mul", "neg", "scalar", "sum"}
+
+
+def _names_a_ring(node):
+    """Whether node names a ring: ring, self.ring, group.ring, base,
+    ring.scalar_base and the like."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.endswith("ring") or name in ("base", "scalar_base")
+
+
+def test_glk_uses_no_tuple_arithmetic():
+    """GL_n(A), quasi-inverses and determinants run on one coded
+    arithmetic: no function in glk.py calls or binds a ring's add, mul,
+    neg, scalar or sum."""
+    tree = ast.parse((SRC / "glk.py").read_text())
+    offenders = [f"{func.name}:{node.lineno}" for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in TUPLE_ARITHMETIC
+                 and _names_a_ring(node.value)]
+    assert offenders == []
+
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def test_every_method_the_tracer_wraps_exists():
+    """The benchmark tracer looks each entry of its METHODS table up in
+    its class's __dict__, so a deleted or inherited method would make
+    every traced run raise KeyError."""
+    tree = ast.parse(TRACER.read_text())
+    (table,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["METHODS"]]
+    missing = [f"{module}.{cls}.{meth}"
+               for module, classes in ast.literal_eval(table).items()
+               for cls, methods in classes.items() for meth in methods
+               if meth not in vars(getattr(importlib.import_module(
+                   f"hotring.{module}"), cls))]
+    assert missing == []

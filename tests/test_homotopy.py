@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from hotring import (BudgetExceeded, FuncHom, HomotopyCertificate,
-                     HotringError, NotFoundAtBound, PairRing, PathRing,
+                     HomotopyChain, HotringError, NotFoundAtBound, PairRing, PathRing,
                      RingHom, corpus,
                      enumerate_homs, flip_certificate, graded_certificate,
                      homotopy_classes,
@@ -171,6 +171,21 @@ def test_chain_between_two_hops_and_across_classes():
     split = homotopy_classes(enumerate_homs(u, u), 1)
     assert len(split.classes()) == 2
     assert split.chain_between(0, 1) is None
+
+
+def test_chain_validate_rejects_a_broken_link_or_certificate():
+    """A chain fails when a certificate does not start where the last one
+    ended, and when a certificate with the right start fails to verify."""
+    r = RINGS["sq0_z3"]
+    result = homotopy_classes(enumerate_homs(r, r), 1)
+    chain = result.chain_between(1, 2)
+    assert chain.validate()
+    assert not HomotopyChain(result.homs[2], chain.certs).validate()
+    first, second = chain.certs
+    wrong_end = HomotopyCertificate(second.hom, second.f0, result.homs[1],
+                                    second.var)
+    assert not verify_certificate(wrong_end).valid
+    assert not HomotopyChain(chain.start, [first, wrong_end]).validate()
 
 
 def test_chain_between_distant_members():

@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 from hotring.intlin import (LinearSolver, identity_matrix, invariant_factors,
-                            mat_mul, mat_vec, smith_normal_form)
+                            mat_mul, smith_normal_form)
 
 from oracles import minors_gcd_invariants
+
+
+def mat_vec(a, v):
+    """a * v, summing over the nonzero entries of v only."""
+    support = [j for j, y in enumerate(v) if y]
+    return [sum(row[j] * v[j] for j in support) for row in a]
 
 
 def _is_unimodular(u):

@@ -234,6 +234,23 @@ def test_puppe_identity_stages_contract():
     assert seq.verify(probes=15)["ok"]
 
 
+def test_puppe_verify_reports_each_failure():
+    """A stage whose j leaves P(g) and survives g1, and whose null
+    homotopy has swapped ends, fails all three checks of verify."""
+    seq = puppe(identity_hom(RINGS["sq0_z2"]), 1)
+    (mp,) = seq.stages
+    b = RINGS["sq0_z2"].gen(0)
+    mp.j = FuncHom(mp.loops, mp.ring, lambda c: (b, c), label="bad j")
+    cert = mp.null_homotopy()
+    mp.null_homotopy = lambda: HomotopyCertificate(
+        cert.hom, cert.f1, cert.f0, cert.var, carrier=cert.carrier)
+    result = seq.verify(probes=3)
+    assert not result["ok"]
+    assert [f[:2] for f in result["failures"]] == \
+        [(0, "j image escapes P(g)"), (0, "g1 o j != 0")] * 3 \
+        + [(0, "null homotopy")]
+
+
 def test_puppe_depth_cap():
     with pytest.raises(DepthExceeded):
         puppe(H_TOWER, 9, depth_cap=8)
