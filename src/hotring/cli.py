@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 malformed input or unknown label,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -264,113 +265,65 @@ def cmd_axioms(args, inp):
                              for ax in ("Ax1", "Ax2", "Ax3", "Ax4")}}
 
 
+# the options each command adds to the common ones: (flag, keywords of
+# add_argument)
+_REQ = {"required": True}
+_INT = {"type": int, "required": True}
+_PAIR = [("--source", _REQ), ("--target", _REQ)]
+_HOM = [("--hom", _REQ), ("--source", {}), ("--target", {})]
+_RING_EXTRA = ("--ring", {"action": "append", "dest": "ring_extra"})
+
+# every command: its payload and the options it adds
 COMMANDS = {
-    "check-ring": cmd_check_ring,
-    "homs": cmd_homs,
-    "homotopy": cmd_homotopy,
-    "classes": cmd_classes,
-    "kv1": cmd_kv1,
-    "factorize": cmd_factorize,
-    "puppe": cmd_puppe,
-    "triangle": cmd_triangle,
-    "octahedron": cmd_octahedron,
-    "k0": cmd_k0,
-    "simplicial-check": cmd_simplicial_check,
-    "corpus": cmd_corpus,
-    "axioms": cmd_axioms,
+    "check-ring": (cmd_check_ring, [("path", {})]),
+    "homs": (cmd_homs, _PAIR),
+    "homotopy": (cmd_homotopy, _PAIR + [("--f0", _REQ), ("--f1", _REQ),
+                                        ("--degree", _INT)]),
+    "classes": (cmd_classes, _PAIR + [("--degree", _INT)]),
+    "kv1": (cmd_kv1, [("--ring", _REQ), ("--size", _INT),
+                      ("--degree", _INT)]),
+    "factorize": (cmd_factorize, _HOM),
+    "puppe": (cmd_puppe, _HOM + [("--length", {"type": int, "default": 3}),
+                                 ("--depth-cap", {"type": int,
+                                                  "default": 8})]),
+    "triangle": (cmd_triangle, _HOM),
+    "octahedron": (cmd_octahedron, [("--h", _REQ), ("--k", _REQ),
+                                    _RING_EXTRA]),
+    "k0": (cmd_k0, [("--diagram", _REQ)]),
+    "simplicial-check": (cmd_simplicial_check,
+                         [("--ring", _REQ),
+                          ("--levels", {"type": int, "default": 4})]),
+    "corpus": (cmd_corpus, [("--dir", {})]),
+    "axioms": (cmd_axioms, [_RING_EXTRA, ("--hom", {"action": "append",
+                                                    "dest": "hom_extra"})]),
 }
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=int, default=60)
-    p.add_argument("--out", default=None, help="result store directory")
-    p.add_argument("--json", action="store_true", help="compact output")
-    p.add_argument("--no-store", action="store_true")
-
-
+@functools.cache
 def build_parser():
+    """The parser of every command, built on first use and kept for the
+    process: it depends only on COMMANDS."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--budget", type=int, default=200_000)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--probes", type=int, default=60)
+    common.add_argument("--out", default=None, help="result store directory")
+    common.add_argument("--json", action="store_true", help="compact output")
+    common.add_argument("--no-store", action="store_true")
     parser = argparse.ArgumentParser(prog="hotring")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-ring")
-    p.add_argument("path")
-    _add_common(p)
-
-    p = sub.add_parser("homs")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("homotopy")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--f0", required=True)
-    p.add_argument("--f1", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("classes")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("kv1")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-
-    for name in ("factorize", "puppe", "triangle"):
-        p = sub.add_parser(name)
-        p.add_argument("--hom", required=True)
-        p.add_argument("--source", default=None)
-        p.add_argument("--target", default=None)
-        if name == "puppe":
-            p.add_argument("--length", type=int, default=3)
-            p.add_argument("--depth-cap", type=int, default=8)
-        _add_common(p)
-
-    p = sub.add_parser("octahedron")
-    p.add_argument("--h", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--ring", action="append", dest="ring_extra")
-    _add_common(p)
-
-    p = sub.add_parser("k0")
-    p.add_argument("--diagram", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("simplicial-check")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--levels", type=int, default=4)
-    _add_common(p)
-
-    p = sub.add_parser("corpus")
-    p.add_argument("--dir", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("axioms")
-    p.add_argument("--ring", action="append", dest="ring_extra")
-    p.add_argument("--hom", action="append", dest="hom_extra")
-    _add_common(p)
-
+    for name, (_, options) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common])
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _params(args):
-    skip = {"command", "out", "json", "no_store", "func"}
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or callable(val):
-            continue
-        if isinstance(val, (int, str, bool, type(None))):
-            out[key] = val
-        elif isinstance(val, list):
-            out[key] = list(val)
-    return out
+    """Every parsed option that feeds the store key: all but the command
+    and the options that steer output and storage."""
+    return {key: val for key, val in vars(args).items()
+            if key not in ("command", "out", "json", "no_store")}
 
 
 def _answers(record, request):
@@ -401,7 +354,8 @@ def main(argv=None):
             if _answers(cached, request):
                 _emit(cached, args.json)
                 return cached["exit_code"]
-        code, payload = COMMANDS[args.command](args, _load(files))
+        payload_of, _ = COMMANDS[args.command]
+        code, payload = payload_of(args, _load(files))
         record = {
             "command": args.command,
             "inputs": inputs,
@@ -413,7 +367,7 @@ def main(argv=None):
         }
         if store is not None:
             store.save(key, record)
-            record = store.load(key)
+            record = store.load(key) or record
         _emit(record, args.json)
         return code
     except CliError as exc:

@@ -26,33 +26,39 @@ def content_hash(obj):
 class ResultStore:
     def __init__(self, root):
         self.root = root
-        os.makedirs(root, exist_ok=True)
+        try:
+            os.makedirs(root, exist_ok=True)
+        except OSError:
+            pass        # no store there: every load misses, no save stores
 
     def path_for(self, key):
         return os.path.join(self.root, f"{key}.json")
 
     def load(self, key):
-        """The stored record, or None on a miss; an undecodable record
-        counts as a miss, so the command recomputes and rewrites it."""
-        path = self.path_for(key)
-        if not os.path.exists(path):
-            return None
+        """The stored record, or None on a miss; a record that cannot be
+        read or decoded counts as a miss, so the command recomputes and
+        rewrites it."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self.path_for(key), "r", encoding="utf-8") as fh:
                 record = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         return record if isinstance(record, dict) else None
 
     def save(self, key, record):
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        """Write the record under key; a record that cannot be written
+        (its path a directory, say) is not stored."""
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(record))
-            os.replace(tmp, self.path_for(key))
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(canonical_json(record))
+                os.replace(tmp, self.path_for(key))
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except OSError:
+            pass
         return record
 
 

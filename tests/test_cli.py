@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -6,11 +7,12 @@ import sys
 
 import pytest
 
-from hotring import corpus, tower_homs
+from hotring import cli, corpus, tower_homs
 from hotring.cli import main
 from hotring.serialize import (certificate_from_json, certificate_to_json,
                                dump_json, hom_to_json, poly_from_json,
                                poly_to_json, ring_from_json, ring_to_json)
+from hotring.store import ResultStore
 
 RINGS = corpus()
 
@@ -754,3 +756,135 @@ def test_ring_file_overrides_corpus_label(workdir, capsys):
                              "--source", workdir / "fake.json", "--no-store"])
     assert code == 0
     assert json.loads(out)["payload"]["ok"]
+
+
+# ---------------------------------------------------------------------------
+# the command table: names and the params each command puts in the store key
+
+
+COMMAND_NAMES = ["axioms", "check-ring", "classes", "corpus", "factorize",
+                 "homotopy", "homs", "k0", "kv1", "octahedron", "puppe",
+                 "simplicial-check", "triangle"]
+
+# a minimal valid invocation of each command, and the params that
+# cli._params makes of it, every default included; they feed the store
+# key, so a renamed dest or a changed default orphans every stored record
+PINNED_PARAMS = [
+    (["check-ring", "r.json"], {**DEFAULTS, "path": "r.json"}),
+    (["homs", "--source", "s.json", "--target", "t.json"],
+     {**DEFAULTS, "source": "s.json", "target": "t.json"}),
+    (["homotopy", "--source", "s.json", "--target", "t.json",
+      "--f0", "f0.json", "--f1", "f1.json", "--degree", "1"],
+     {**DEFAULTS, "degree": 1, "f0": "f0.json", "f1": "f1.json",
+      "source": "s.json", "target": "t.json"}),
+    (["classes", "--source", "s.json", "--target", "t.json", "--degree", "1"],
+     {**DEFAULTS, "degree": 1, "source": "s.json", "target": "t.json"}),
+    (["kv1", "--ring", "r.json", "--size", "1", "--degree", "1"],
+     {**DEFAULTS, "degree": 1, "ring": "r.json", "size": 1}),
+    (["factorize", "--hom", "h.json"],
+     {**DEFAULTS, "hom": "h.json", "source": None, "target": None}),
+    (["puppe", "--hom", "h.json"],
+     {**DEFAULTS, "depth_cap": 8, "hom": "h.json", "length": 3,
+      "source": None, "target": None}),
+    (["triangle", "--hom", "h.json"],
+     {**DEFAULTS, "hom": "h.json", "source": None, "target": None}),
+    (["octahedron", "--h", "h.json", "--k", "k.json"],
+     {**DEFAULTS, "h": "h.json", "k": "k.json", "ring_extra": None}),
+    (["k0", "--diagram", "d.json"], {**DEFAULTS, "diagram": "d.json"}),
+    (["simplicial-check", "--ring", "r.json"],
+     {**DEFAULTS, "levels": 4, "ring": "r.json"}),
+    (["corpus"], {**DEFAULTS, "dir": None}),
+    (["axioms"], {**DEFAULTS, "hom_extra": None, "ring_extra": None}),
+]
+
+
+def test_command_names_are_pinned():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == COMMAND_NAMES
+    assert sorted(argv[0] for argv, _ in PINNED_PARAMS) == COMMAND_NAMES
+
+
+@pytest.mark.parametrize("argv, params", PINNED_PARAMS,
+                         ids=[argv[0] for argv, _ in PINNED_PARAMS])
+def test_params_of_a_minimal_invocation_are_pinned(argv, params):
+    parse = cli.build_parser().parse_args
+    assert cli._params(parse(argv)) == params
+    # the options that steer output and storage stay out of the key
+    assert cli._params(parse(argv + ["--out", "o", "--json",
+                                     "--no-store"])) == params
+
+
+def test_main_builds_the_parser_once(workdir, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(20):
+        assert main(["check-ring", str(workdir / "sq0_z2.json"),
+                     "--no-store", "--json"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == COMMAND_NAMES
+
+
+def test_import_builds_no_parser():
+    import hotring
+    src = os.path.dirname(os.path.dirname(hotring.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import hotring.cli as cli; "
+         "print(cli.build_parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert done.stdout == "0\n", done.stderr
+
+
+def test_corpus_without_dir_writes_under_out(workdir, capsys):
+    out = workdir / "elsewhere"
+    code, printed = run(capsys, ["corpus", "--out", out])
+    assert code == 0
+    written = json.loads(printed)["payload"]["written"]
+    names = sorted(RINGS) + ["tower_h", "tower_k"]
+    assert written == [str(out / "corpus" / f"{n}.json") for n in names]
+    assert all(os.path.isfile(path) for path in written)
+
+
+def test_store_path_that_is_a_directory_is_a_miss(tmp_path):
+    store = ResultStore(str(tmp_path))
+    os.mkdir(store.path_for("k"))
+    assert store.load("k") is None
+    record = {"payload": {}}
+    assert store.save("k", record) is record       # not stored
+    assert os.path.isdir(store.path_for("k"))
+    assert os.listdir(tmp_path) == ["k.json"]       # no temp file left
+    assert store.load("k") is None
+
+
+def test_record_replaced_by_a_directory_is_recomputed(relative, capsys):
+    # the record cannot be read, and the recomputed one cannot be written
+    # over the directory; the command prints it and exits with its code
+    code, first = run(capsys, KV1_ARGV)
+    (path,) = (relative / "store").glob("*.json")
+    path.unlink()
+    path.mkdir()
+    for _ in range(2):
+        code, again = run(capsys, KV1_ARGV)
+        assert code == 0
+        recomputed = json.loads(again)
+        assert recomputed == {**json.loads(first),
+                              "timestamp": recomputed["timestamp"]}
+        assert path.is_dir()
+        assert [p.name for p in (relative / "store").iterdir()] == [path.name]
+
+
+def test_store_root_that_is_a_file_stores_nothing(workdir, capsys):
+    root = workdir / "a_file"
+    root.write_text("")
+    argv = ["check-ring", workdir / "sq0_z2.json", "--out", root]
+    code, out = run(capsys, argv)
+    assert code == 0 and json.loads(out)["payload"]["valid"]
+    assert run(capsys, argv)[0] == 0
+    assert root.read_text() == ""

@@ -135,6 +135,20 @@ def test_path_ring_membership_rejections():
     assert not eer.contains(monomial(r, (1,), (("y", 1),)))
 
 
+def test_loop_ring_membership_rejections():
+    r = RINGS["two_z8"]
+    om = LoopRing(r, "x")
+    loop = om.from_factor(om.const((1,)))              # (x^2 - x) a
+    assert om.contains(loop)
+    assert not om.contains(om.add(loop, om.const((1,))))   # constant term
+    assert not om.contains(monomial(r, (1,), (("x", 1),)))  # a at x = 1
+    # over Omega(E(R; x); y) each y-slice must lie in E(R; x)
+    er = PathRing(r, "x")
+    omer = LoopRing(er, "y")
+    assert omer.contains(omer.from_factor(monomial(r, (1,), (("x", 1),))))
+    assert not omer.contains(omer.from_factor(omer.const((1,))))
+
+
 def test_loop_factorization_roundtrip():
     rng = random.Random(3)
     for r in RINGS.values():
