@@ -235,17 +235,18 @@ def cmd_corpus(args, inp):
     rings = corpus()
     outdir = args.dir or os.path.join(args.out or default_store_root(),
                                       "corpus")
-    os.makedirs(outdir, exist_ok=True)
-    written = []
-    for label in sorted(rings):
-        path = os.path.join(outdir, f"{label}.json")
-        dump_json(path, ring_to_json(rings[label]))
-        written.append(path)
     h, k = tower_homs(rings)
-    for name, hom in (("tower_h", h), ("tower_k", k)):
-        path = os.path.join(outdir, f"{name}.json")
-        dump_json(path, hom_to_json(hom))
-        written.append(path)
+    files = [(label, ring_to_json(rings[label])) for label in sorted(rings)]
+    files += [("tower_h", hom_to_json(h)), ("tower_k", hom_to_json(k))]
+    written = []
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for name, data in files:
+            written.append(os.path.join(outdir, f"{name}.json"))
+            dump_json(written[-1], data)
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename or outdir}: "
+                       f"{exc.strerror}", 1)
     return 0, {"labels": sorted(rings), "written": written}
 
 

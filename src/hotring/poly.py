@@ -281,6 +281,36 @@ class _Substitution:
         return _canon(base, acc)
 
 
+class _Difference(_Substitution):
+    """p -> p(lhs) - p(rhs) by linearity: the integer polynomial
+    img_lhs(m) - img_rhs(m) is memoized per source monomial m and acts on
+    the coefficient of m.  The same integer images and Z-action as the
+    two substitutions, so the result is exact: on Z/2, two images that
+    differ by 2t give 0."""
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        super().__init__({})
+        self.lhs, self.rhs = _Substitution(lhs), _Substitution(rhs)
+
+    def _image(self, mono):
+        return isub(Poly(self.lhs._image(mono)),
+                    Poly(self.rhs._image(mono))).terms
+
+
+def substitution_difference(lhs, rhs):
+    """The plan (base, p) -> p(lhs) - p(rhs), compiled once."""
+    return _Difference(lhs, rhs)
+
+
+def compose_assignments(outer, inner):
+    """The assignment of p -> p(inner)(outer): v -> outer(inner[v]), the
+    integer polynomials substituted over Z."""
+    plan = _Substitution(outer)
+    return {v: plan(ZZ, inner.get(v, ivar(v))) for v in {**outer, **inner}}
+
+
 def substitute(base, p, assignment):
     """Substitute integer polynomials for variables, simultaneously.
 
@@ -416,13 +446,15 @@ class PolyRing(PolyLike):
         return isinstance(p, Poly) and self._coeffs_ok(p)
 
     def sample(self, rng):
-        acc = self.zero()
+        sb = self.scalar_base
+        acc = {}
         for _ in range(rng.randrange(1, 4)):
-            c = self.scalar_base.sample(rng)
-            mono = tuple((v, rng.randrange(1, 3))
-                         for v in self.vars if rng.random() < 0.5)
-            acc = self.add(acc, self.monomial(c, mono))
-        return acc
+            c = sb.sample(rng)
+            # self.vars is not in sorted order: sort each monomial
+            mono = tuple(sorted((v, rng.randrange(1, 3))
+                                for v in self.vars if rng.random() < 0.5))
+            acc[mono] = sb.add(acc[mono], c) if mono in acc else c
+        return _canon(sb, acc)
 
 
 def _base_contains(base, q):

@@ -53,12 +53,13 @@ class Ring:
 
 
 class IntegerRing(Ring):
-    """The ring of integers; the coefficient domain for substitutions."""
+    """The ring of integers; the coefficient domain for substitutions.
+
+    Only its arithmetic exists: no element of it is drawn at random or
+    checked for membership.
+    """
 
     label = "Z"
-
-    def zero(self):
-        return 0
 
     def add(self, a, b):
         return a + b
@@ -74,12 +75,6 @@ class IntegerRing(Ring):
 
     def is_zero(self, a):
         return a == 0
-
-    def contains(self, a):
-        return isinstance(a, int)
-
-    def sample(self, rng):
-        return rng.randrange(-3, 4)
 
 
 ZZ = IntegerRing()

@@ -12,8 +12,9 @@ resurfaces is the 0th face, which sends t_1 to 1 - (t_1 + ... + t_{n-1}).
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange
-from .poly import (PolyLike, PolyRing, iadd, iconst, imul, isub, ivar,
+from .errors import IndexOutOfRange, UnknownVariable
+from .poly import (PolyLike, PolyRing, compose_assignments, iadd, iconst,
+                   imul, isub, ivar, substitution_difference,
                    substitution_hom)
 
 
@@ -38,12 +39,11 @@ class SimplexRing:
             acc = isub(acc, ivar(self.tvar(l)))
         return acc
 
-    def face(self, i):
-        """d_i : R[Delta^n] -> R[Delta^(n-1)], 0 <= i <= n, n >= 1."""
+    def face_assignment(self, i):
+        """The integer images of t_1 .. t_n under d_i, 0 <= i <= n, n >= 1."""
         n = self.level
         if not (0 <= i <= n) or n == 0:
             raise IndexOutOfRange(f"face {i} at level {n}")
-        lower = SimplexRing(self.base, n - 1)
         assignment = {}
         for j in range(1, n + 1):
             if j < i:
@@ -54,16 +54,19 @@ class SimplexRing:
                 assignment[self.tvar(j)] = self._t0_expr(n - 1)
             else:
                 assignment[self.tvar(j)] = ivar(self.tvar(j - 1))
-        hom = substitution_hom(self.ring, lower.ring, assignment,
-                               label=f"d{i}")
-        return hom
+        return assignment
 
-    def degeneracy(self, i):
-        """s_i : R[Delta^n] -> R[Delta^(n+1)], 0 <= i <= n."""
+    def face(self, i):
+        """d_i : R[Delta^n] -> R[Delta^(n-1)], 0 <= i <= n, n >= 1."""
+        assignment = self.face_assignment(i)
+        lower = SimplexRing(self.base, self.level - 1).ring
+        return substitution_hom(self.ring, lower, assignment, label=f"d{i}")
+
+    def degeneracy_assignment(self, i):
+        """The integer images of t_1 .. t_n under s_i, 0 <= i <= n."""
         n = self.level
         if not (0 <= i <= n):
             raise IndexOutOfRange(f"degeneracy {i} at level {n}")
-        upper = SimplexRing(self.base, n + 1)
         assignment = {}
         for j in range(1, n + 1):
             if j < i:
@@ -73,8 +76,13 @@ class SimplexRing:
                                                 ivar(self.tvar(j + 1)))
             else:
                 assignment[self.tvar(j)] = ivar(self.tvar(j + 1))
-        return substitution_hom(self.ring, upper.ring, assignment,
-                                label=f"s{i}")
+        return assignment
+
+    def degeneracy(self, i):
+        """s_i : R[Delta^n] -> R[Delta^(n+1)], 0 <= i <= n."""
+        assignment = self.degeneracy_assignment(i)
+        upper = SimplexRing(self.base, self.level + 1).ring
+        return substitution_hom(self.ring, upper, assignment, label=f"s{i}")
 
     def sample(self, rng):
         return self.ring.sample(rng)
@@ -137,48 +145,33 @@ def identity_pair(base, case):
     """The two composite maps asserted equal by a simplicial identity.
 
     Both are maps out of the level recorded in the case; returns
-    (level_ring, lhs, rhs) with lhs/rhs callables on its elements.
+    (level, lhs, rhs) with lhs and rhs the assignments of the two
+    composites, composed over Z (the identity is the empty assignment).
     """
     family, n, i, j = case
+    d = lambda m, k: SimplexRing(base, m).face_assignment(k)
+    s = lambda m, k: SimplexRing(base, m).degeneracy_assignment(k)
     if family == "dd":
-        top = SimplexRing(base, n)
-        mid = SimplexRing(base, n - 1)
-        lhs = _comp(mid.face(i), top.face(j))
-        rhs = _comp(mid.face(j - 1), top.face(i))
-        return top, lhs, rhs
-    if family == "ss":
-        lower = SimplexRing(base, n)
-        mid = SimplexRing(base, n + 1)
-        lhs = _comp(mid.degeneracy(i), lower.degeneracy(j))
-        rhs = _comp(mid.degeneracy(j + 1), lower.degeneracy(i))
-        return lower, lhs, rhs
-    lower = SimplexRing(base, n)
-    mid = SimplexRing(base, n + 1)
-    if family == "ds_lt":
-        below = SimplexRing(base, n - 1)
-        lhs = _comp(mid.face(i), lower.degeneracy(j))
-        rhs = _comp(below.degeneracy(j - 1), lower.face(i))
-        return lower, lhs, rhs
-    if family in ("ds_eq", "ds_eq1"):
-        lhs = _comp(mid.face(i), lower.degeneracy(j))
-        rhs = lambda p: p
-        return lower, lhs, rhs
-    if family == "ds_gt":
-        below = SimplexRing(base, n - 1)
-        lhs = _comp(mid.face(i), lower.degeneracy(j))
-        rhs = _comp(below.degeneracy(j), lower.face(i - 1))
-        return lower, lhs, rhs
-    raise ValueError(family)
-
-
-def _comp(outer, inner):
-    return lambda p: outer.apply(inner.apply(p))
+        lhs, rhs = (d(n - 1, i), d(n, j)), (d(n - 1, j - 1), d(n, i))
+    elif family == "ss":
+        lhs, rhs = (s(n + 1, i), s(n, j)), (s(n + 1, j + 1), s(n, i))
+    elif family in ("ds_eq", "ds_eq1"):
+        lhs, rhs = (d(n + 1, i), s(n, j)), ({}, {})
+    elif family == "ds_lt":
+        lhs, rhs = (d(n + 1, i), s(n, j)), (s(n - 1, j - 1), d(n, i))
+    elif family == "ds_gt":
+        lhs, rhs = (d(n + 1, i), s(n, j)), (s(n - 1, j), d(n, i - 1))
+    else:
+        raise ValueError(family)
+    return (SimplexRing(base, n), compose_assignments(*lhs),
+            compose_assignments(*rhs))
 
 
 def check_simplicial_identities(base, max_level, probes_per_family, rng):
     """Probe every identity instance, spending probes_per_family random
     elements on each of the five families; returns (checks_run, failures).
     The two unit identities d_j s_j = id = d_{j+1} s_j count as one family.
+    A probe p fails when p(lhs) - p(rhs) is not 0.
     """
     by_family = {}
     for case in simplicial_identity_cases(max_level):
@@ -187,13 +180,15 @@ def check_simplicial_identities(base, max_level, probes_per_family, rng):
     failures = []
     checks = 0
     for family, cases in sorted(by_family.items()):
-        built = [(case, identity_pair(base, case)) for case in cases]
         per_case = max(1, probes_per_family // len(cases))
-        for case, (level, lhs, rhs) in built:
+        for case in cases:
+            level, lhs, rhs = identity_pair(base, case)
+            difference = substitution_difference(lhs, rhs)
+            sb = level.ring.scalar_base
             for _ in range(per_case):
                 p = level.sample(rng)
                 checks += 1
-                if lhs(p) != rhs(p):
+                if difference(sb, p).terms:
                     failures.append((case, p))
     return checks, failures
 
@@ -201,40 +196,46 @@ def check_simplicial_identities(base, max_level, probes_per_family, rng):
 def check_contraction_compatibility(base, xvar, max_level, probes, rng):
     """Probe compatibility of the contraction maps with faces/degeneracies,
     [w* of h] = [h of the transported vertex] after w*, plus the vertex
-    endpoints; returns (checks_run, failures)."""
+    endpoints; returns (checks_run, failures).  Each level's maps are
+    built once per call and keep their monomial memos across probes."""
     failures = []
     checks = 0
     poly_base = PolyRing(base, (xvar,)) if not isinstance(base, PolyLike) else base
+    if xvar not in poly_base.vars:
+        raise UnknownVariable(xvar)
+    levels = [SimplexRing(poly_base, n) for n in range(max_level + 2)]
+    h = [{i: contraction_map(s, xvar, i) for i in range(-1, s.level + 1)}
+         for s in levels]
     for n in range(0, max_level + 1):
-        top = SimplexRing(poly_base, n)
+        top = levels[n]
+        faces = [top.face(j) for j in range(n + 1)] if n >= 1 else []
+        degeneracies = [top.degeneracy(j) for j in range(n + 1)]
         for i in range(-1, n + 1):
-            h_top = contraction_map(top, xvar, i)
+            h_top = h[n][i]
             for j in range(0, n + 1):
                 if n >= 1:
-                    lower = SimplexRing(poly_base, n - 1)
-                    hv = contraction_map(lower, xvar, delta1_face_index(i, j))
-                    d = top.face(j)
+                    hv = h[n - 1][delta1_face_index(i, j)]
+                    d = faces[j]
                     for _ in range(probes):
                         p = top.sample(rng)
                         checks += 1
                         if d.apply(h_top.apply(p)) != hv.apply(d.apply(p)):
                             failures.append(("face", n, i, j, p))
-                upper = SimplexRing(poly_base, n + 1)
-                hv = contraction_map(upper, xvar, delta1_degeneracy_index(i, j))
-                s = top.degeneracy(j)
+                hv = h[n + 1][delta1_degeneracy_index(i, j)]
+                s = degeneracies[j]
                 for _ in range(probes):
                     p = top.sample(rng)
                     checks += 1
                     if s.apply(h_top.apply(p)) != hv.apply(s.apply(p)):
                         failures.append(("degeneracy", n, i, j, p))
         # endpoints: v(n) acts as the identity, v(-1) as evaluation at 0
-        ident = contraction_map(top, xvar, n)
-        collapse = contraction_map(top, xvar, -1)
+        ident, collapse = h[n][n], h[n][-1]
+        at_zero = substitution_hom(top.ring, top.ring, {xvar: iconst(0)})
         for _ in range(probes):
             p = top.sample(rng)
             checks += 2
             if ident.apply(p) != p:
                 failures.append(("endpoint_id", n, None, None, p))
-            if collapse.apply(p) != top.ring.evaluate(p, xvar, 0):
+            if collapse.apply(p) != at_zero.apply(p):
                 failures.append(("endpoint_zero", n, None, None, p))
     return checks, failures

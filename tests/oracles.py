@@ -619,3 +619,116 @@ def idempotent_power_remainder(e, m):
         for k, a in enumerate(divisor[:-1]):
             rem[shift + k] -= lead * a
     return rem + [0] * (n - len(rem))
+
+
+# ---------------------------------------------------------------------------
+# R[Delta] probed as chained applies of the face, degeneracy and
+# contraction homs, on probes drawn one added term at a time
+
+
+def sample_term_by_term(ring, rng):
+    """A random element of the polynomial ring ``ring``, summing each drawn
+    term into the ring with ``add``; the same draws as PolyRing.sample."""
+    acc = ring.zero()
+    for _ in range(rng.randrange(1, 4)):
+        c = ring.scalar_base.sample(rng)
+        mono = tuple((v, rng.randrange(1, 3))
+                     for v in ring.vars if rng.random() < 0.5)
+        acc = ring.add(acc, ring.monomial(c, mono))
+    return acc
+
+
+def _chained(outer, inner):
+    return lambda p: outer.apply(inner.apply(p))
+
+
+def identity_maps(base, case):
+    """(level, lhs, rhs) of a simplicial identity, each side two homs
+    applied in turn."""
+    from hotring.simplicial import SimplexRing
+
+    family, n, i, j = case
+    if family == "dd":
+        top, mid = SimplexRing(base, n), SimplexRing(base, n - 1)
+        return (top, _chained(mid.face(i), top.face(j)),
+                _chained(mid.face(j - 1), top.face(i)))
+    lower, mid = SimplexRing(base, n), SimplexRing(base, n + 1)
+    if family == "ss":
+        return (lower, _chained(mid.degeneracy(i), lower.degeneracy(j)),
+                _chained(mid.degeneracy(j + 1), lower.degeneracy(i)))
+    lhs = _chained(mid.face(i), lower.degeneracy(j))
+    if family in ("ds_eq", "ds_eq1"):
+        return lower, lhs, lambda p: p
+    below = SimplexRing(base, n - 1)
+    k = j - 1 if family == "ds_lt" else j
+    i_low = i if family == "ds_lt" else i - 1
+    return lower, lhs, _chained(below.degeneracy(k), lower.face(i_low))
+
+
+def probe_simplicial_identities(base, max_level, probes_per_family, rng):
+    """check_simplicial_identities with lhs(p) != rhs(p) decided on the
+    two chained applies of each side."""
+    from hotring.simplicial import simplicial_identity_cases
+
+    by_family = {}
+    for case in simplicial_identity_cases(max_level):
+        family = "ds_unit" if case[0] in ("ds_eq", "ds_eq1") else case[0]
+        by_family.setdefault(family, []).append(case)
+    failures, checks = [], 0
+    for family, cases in sorted(by_family.items()):
+        per_case = max(1, probes_per_family // len(cases))
+        for case in cases:
+            level, lhs, rhs = identity_maps(base, case)
+            for _ in range(per_case):
+                p = sample_term_by_term(level.ring, rng)
+                checks += 1
+                if lhs(p) != rhs(p):
+                    failures.append((case, p))
+    return checks, failures
+
+
+def probe_contraction_compatibility(base, xvar, max_level, probes, rng):
+    """check_contraction_compatibility with every map rebuilt for each
+    (vertex, index) pair and evaluation at x = 0 compiled per probe; the
+    vertex transports are looked up on the module, so that a patched one
+    reaches this reference too."""
+    from hotring import simplicial
+    from hotring.poly import PolyLike, PolyRing
+    from hotring.simplicial import SimplexRing, contraction_map
+
+    failures, checks = [], 0
+    poly_base = PolyRing(base, (xvar,)) if not isinstance(base, PolyLike) else base
+    for n in range(0, max_level + 1):
+        top = SimplexRing(poly_base, n)
+        for i in range(-1, n + 1):
+            h_top = contraction_map(top, xvar, i)
+            for j in range(0, n + 1):
+                if n >= 1:
+                    lower = SimplexRing(poly_base, n - 1)
+                    hv = contraction_map(lower, xvar,
+                                         simplicial.delta1_face_index(i, j))
+                    d = top.face(j)
+                    for _ in range(probes):
+                        p = sample_term_by_term(top.ring, rng)
+                        checks += 1
+                        if d.apply(h_top.apply(p)) != hv.apply(d.apply(p)):
+                            failures.append(("face", n, i, j, p))
+                upper = SimplexRing(poly_base, n + 1)
+                hv = contraction_map(upper, xvar,
+                                     simplicial.delta1_degeneracy_index(i, j))
+                s = top.degeneracy(j)
+                for _ in range(probes):
+                    p = sample_term_by_term(top.ring, rng)
+                    checks += 1
+                    if s.apply(h_top.apply(p)) != hv.apply(s.apply(p)):
+                        failures.append(("degeneracy", n, i, j, p))
+        ident = contraction_map(top, xvar, n)
+        collapse = contraction_map(top, xvar, -1)
+        for _ in range(probes):
+            p = sample_term_by_term(top.ring, rng)
+            checks += 2
+            if ident.apply(p) != p:
+                failures.append(("endpoint_id", n, None, None, p))
+            if collapse.apply(p) != top.ring.evaluate(p, xvar, 0):
+                failures.append(("endpoint_zero", n, None, None, p))
+    return checks, failures

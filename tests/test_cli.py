@@ -888,3 +888,19 @@ def test_store_root_that_is_a_file_stores_nothing(workdir, capsys):
     assert code == 0 and json.loads(out)["payload"]["valid"]
     assert run(capsys, argv)[0] == 0
     assert root.read_text() == ""
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["corpus", "--dir", "{file}"], "{file}"),
+    (["corpus", "--out", "{file}"], "{file}/corpus")], ids=["dir", "out"])
+def test_corpus_onto_a_file_is_refused(workdir, capsys, argv, named):
+    target = str(workdir / "a_file")
+    with open(target, "w") as fh:
+        fh.write("taken\n")
+    code = main([a.format(file=target) for a in argv] + ["--json",
+                                                         "--no-store"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"].startswith(f"cannot write {named.format(file=target)}:")
