@@ -22,7 +22,8 @@ import sys
 import time
 
 from .corpus import corpus, tower_homs
-from .errors import BudgetExceeded, HotringError, VerificationFailure
+from .errors import (BadUnit, BudgetExceeded, HotringError,
+                     VerificationFailure)
 from .glk import determinant_certificate, kv1_approx
 from .homotopy import (HomotopyCertificate, homotopy_classes, search_up_to,
                        verify_certificate)
@@ -162,20 +163,20 @@ def cmd_classes(args, inp):
 def cmd_kv1(args, inp):
     if args.degree < 1 or args.size < 1:
         raise CliError("kv1 needs --size >= 1 and --degree >= 1", 1)
-    ring = inp["ring"]
     history = []
     pres = None
     for d in range(1, args.degree + 1):
-        pres = kv1_approx(ring, args.size, d, budget=args.budget)
+        pres = kv1_approx(inp["ring"], args.size, d, budget=args.budget)
         history.append(pres.order)
     payload = pres.summary()
     payload["monotone_history"] = history
-    if ring.unit is not None:
-        payload["determinant_certificate"] = {
-            k: (v if not isinstance(v, list) else [list(x) for x in v])
-            for k, v in determinant_certificate(pres).items()
-            if k in ("determinant_image_order", "subgroup_in_kernel",
-                     "lower_bound_matches")}
+    try:
+        cert = determinant_certificate(pres)
+    except BadUnit:                 # no unit, or not commutative
+        return 0, payload
+    payload["determinant_certificate"] = {
+        k: cert[k] for k in ("determinant_image_order", "subgroup_in_kernel",
+                             "lower_bound_matches")}
     return 0, payload
 
 

@@ -26,14 +26,15 @@ candidate is ever skipped as undecided.
 Path candidates are filtered by their end P(1), the sum of their
 coefficient matrices, before any quasi-inverse is sought over A[t].
 Evaluation at t = 1 is a ring hom A[t] -> A, so every quasi-invertible
-path ends in GL_n(A); a candidate ending at 0, outside GL_n(A) or at a
-generator already found can add nothing, and skipping it leaves the
-identified subgroup exactly as it was.  When A is commutative with a
-unit the ends narrow further to 1 + N, N the nilradical of A: if
-P(0) = 0 and I + P(t) is invertible over A[t], then det(I + P(t)) is a
-unit of A[t] with constant term 1, its higher coefficients are
-nilpotent, and so det(I + P(1)) lies in 1 + N.  The allowed ends are one
-precomputed set (_path_ends), tested once per candidate.
+path ends in GL_n(A); a candidate ending outside GL_n(A) or in the
+subgroup the ends found so far generate can add nothing.  When A is
+commutative with a unit the ends narrow further to 1 + N, N the
+nilradical of A: if P(0) = 0 and I + P(t) is invertible over A[t], then
+det(I + P(t)) is a unit of A[t] with constant term 1, its higher
+coefficients are nilpotent, and so det(I + P(1)) lies in 1 + N.  So the
+ends lie in a normal subgroup K known in advance (_path_ends): the
+kernel of det modulo 1 + N, or all of GL_n(A).  The search stops once
+the ends found generate K, which needs no normality test.
 
 All matrix arithmetic runs on integer codes (CircleGroup): an element of
 A is coded by its index in ring.elements(), which is lexicographic, so
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import (BadUnit, BudgetExceeded, IndexOutOfRange,
                      VerificationFailure)
@@ -205,7 +207,7 @@ def quasi_inverse(ring, m):
 
 
 class _Subgroup(list):
-    """A subgroup from CircleGroup.subgroup_closure: its elements as a
+    """A subgroup closed by CircleGroup._generate: its elements as a
     sorted list of matrices and, on codes, its element set and the
     generators its closure kept."""
 
@@ -356,15 +358,24 @@ class CircleGroup:
                                                   witness=(a, b, c))
         return True
 
-    def _generate(self, gens):
+    def _generate(self, gens, ceiling=None, seen=None):
         """The subgroup generated by the codes gens, and the generators
         kept: each one not already in the closure of those kept before it.
         In a finite group the subgroup is the monoid its generators span,
         so closing the identity under right multiplication by the kept
         generators suffices (Holt, Eick and O'Brien, Handbook of
-        Computational Group Theory, ch. 4)."""
+        Computational Group Theory, ch. 4).  The subgroup lies in ceiling,
+        the codes of a subgroup K (all of G by default); a proper subgroup
+        of K has at most |K|/q elements, q the least prime factor of |K|
+        (Lagrange), so once the closure grows past that it is K, returned
+        without reading gens further.  A lazy gens may read seen, the set
+        the closure grows in, to skip what it already holds."""
         op = self._op
-        seen = {self._zero}
+        ceiling = self._codes if ceiling is None else ceiling
+        size = len(ceiling)
+        bound = size // next((p for p in range(2, math.isqrt(size) + 1)
+                              if size % p == 0), max(size, 2))
+        seen = {self._zero} if seen is None else seen
         kept = []
         for g in gens:
             if g in seen:
@@ -374,13 +385,15 @@ class CircleGroup:
             # elements need only g; the new ones need every generator
             frontier = [x for x in {op(h, g) for h in seen} if x not in seen]
             seen.update(frontier)
-            while frontier:
+            while frontier and len(seen) <= bound:
                 h = frontier.pop()
                 for s in kept:
                     x = op(h, s)
                     if x not in seen:
                         seen.add(x)
                         frontier.append(x)
+            if len(seen) > bound:
+                return set(ceiling), kept
         return seen, kept
 
     @functools.cached_property
@@ -483,7 +496,7 @@ class Pi0Presentation:
         self.level = level                  # (n, d)
         self.group = group
         self.subgroup = subgroup
-        self.generators = generators
+        self.generators = generators        # ends H's closure kept, in order
         self.reps = reps
         self.class_map = class_map          # M part -> class index
         self.order = len(reps)
@@ -519,27 +532,26 @@ def _poly_matrix(ring, var, coeff_mats):
 
 
 def _path_ends(group):
-    """The codes of the nonzero ends P(1) that a quasi-invertible path P
-    with P(0) = 0 can have: the elements of GL_n(A) and, when A is
-    commutative with a unit, only those with det(I + P(1)) in 1 + N (see
-    the module docstring)."""
+    """The codes of a normal subgroup K holding every end P(1) of a
+    quasi-invertible path P with P(0) = 0: all of GL_n(A) or, when A is
+    commutative with a unit, the M with det(I + M) in 1 + N (see the
+    module docstring)."""
     ring = group.ring
-    ends = set(group._codes)
-    ends.discard(group._zero)
     if ring.unit is not None and _is_commutative(ring):
         dets, allowed = group.determinants, group._one_plus_nilradical
-        ends = {c for c in ends if dets[c] in allowed}
-    return ends
+        return {c for c in group._codes if dets[c] in allowed}
+    return set(group._codes)
 
 
 def kv1_approx(ring, n, degree, budget=200_000):
     """Classes of GL_n(A) modulo ends of degree <= degree polynomial paths.
 
     H is the subgroup generated by {P(1) : P in GL_n(A[t]), deg P <= d,
-    P(0) = 0}, every candidate P decided by the t-adic recurrence on the
-    codes of its coefficient matrices (see _t_adic_quasi_inverse); the
-    returned quotient GL_n(A)/H surjects onto the true
-    pi_0(GL_n(A[Delta])) and is monotone in the degree bound.
+    P(0) = 0}, closed as the ends are found; until H is the ceiling K,
+    every candidate P that could enlarge it is decided by the t-adic
+    recurrence on the codes of its coefficient matrices (see
+    _t_adic_quasi_inverse).  The returned quotient GL_n(A)/H surjects onto
+    the true pi_0(GL_n(A[Delta])) and is monotone in the degree bound.
     """
     if degree < 1:
         raise IndexOutOfRange(f"path degree {degree}")
@@ -550,20 +562,23 @@ def kv1_approx(ring, n, degree, budget=200_000):
         raise BudgetExceeded(count, budget)
 
     mats = list(itertools.product(range(ring.size()), repeat=n * n))
-    ends = _path_ends(group)
-    found = []
-    for coeffs in itertools.product(mats, repeat=degree):
-        end = functools.reduce(group._mat_add, coeffs)
-        # the endpoint filter of the module docstring
-        if end not in ends:
-            continue
-        if _t_adic_quasi_inverse(group, (group._zero,) + coeffs) is not None:
-            found.append(end)
-            ends.discard(end)
+    ceiling = _path_ends(group)
+    closure = {group._zero}
 
-    gens = [group._decode(c) for c in sorted(found)]
-    subgroup = group.subgroup_closure(gens)
-    if not group.is_normal(subgroup):
+    def quasi_invertible_ends():
+        # the endpoint filter of the module docstring
+        for coeffs in itertools.product(mats, repeat=degree):
+            end = functools.reduce(group._mat_add, coeffs)
+            if (end in ceiling and end not in closure
+                    and _t_adic_quasi_inverse(group, (group._zero,) + coeffs)
+                    is not None):
+                yield end
+
+    codes, kept = group._generate(quasi_invertible_ends(), ceiling, closure)
+    subgroup = _Subgroup([group._decode(c) for c in sorted(codes)], codes,
+                         kept)
+    # H = K is normal: K is all of G or the kernel of det mod 1 + N
+    if len(codes) < len(ceiling) and not group.is_normal(subgroup):
         raise VerificationFailure("identified subgroup is not normal")
 
     # the cosets m H, each listed once, on codes
@@ -571,7 +586,7 @@ def kv1_approx(ring, n, degree, budget=200_000):
     for m in group._codes:
         if m in coded_map:
             continue
-        coset = sorted(group._op(m, h) for h in subgroup.codes)
+        coset = sorted(group._op(m, h) for h in codes)
         coded_reps.append(coset[0])
         for x in coset:
             coded_map[x] = len(coded_reps) - 1
@@ -579,8 +594,9 @@ def kv1_approx(ring, n, degree, budget=200_000):
     class_map = {group._decode(x): i for x, i in coded_map.items()}
 
     inv_factors = _quotient_invariants(group, reps, class_map)
-    return Pi0Presentation((n, degree), group, list(subgroup), gens, reps,
-                           class_map, inv_factors)
+    return Pi0Presentation((n, degree), group, list(subgroup),
+                           [group._decode(c) for c in kept], reps, class_map,
+                           inv_factors)
 
 
 def _quotient_invariants(group, reps, class_map):

@@ -123,6 +123,33 @@ def test_kv1_budget_exhaustion_exit_code(workdir, capsys):
     assert "budget" in err
 
 
+def test_kv1_path_budget_refusal_record(workdir, capsys):
+    # GL_2(F_3) fits in 1000 and degree 1 runs; degree 2 has 3^8 paths
+    code = main(["kv1", "--ring", str(workdir / "z3_unital.json"),
+                 "--size", "2", "--degree", "2", "--budget", "1000",
+                 "--json"])
+    record = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert (record["required"], record["budget"]) == (6561, 1000)
+
+
+def test_kv1_on_a_noncommutative_ring_with_unit(workdir, capsys):
+    # M_2(F_2) on e11, e12, e21, e22: e_ij e_kl = [j = k] e_il
+    cells = [(i, j) for i in range(2) for j in range(2)]
+    dump_json(workdir / "m2_f2.json", {
+        "label": "m2_f2", "orders": [2] * 4, "unit": [1, 0, 0, 1],
+        "mul": [[[int(j == k and (i, l) == c) for c in cells]
+                 for k, l in cells] for i, j in cells]})
+    code, _ = run(capsys, ["check-ring", workdir / "m2_f2.json"])
+    assert code == 0
+    code, out = run(capsys, ["kv1", "--ring", workdir / "m2_f2.json",
+                             "--size", 1, "--degree", 1])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["classes"] == 1 and payload["gl_order"] == 6
+    assert "determinant_certificate" not in payload
+
+
 @pytest.mark.parametrize("size,degree", [(0, 1), (1, 0)])
 def test_kv1_refuses_an_empty_level(workdir, capsys, size, degree):
     code = main(["kv1", "--ring", str(workdir / "z3_unital.json"),

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import os
@@ -9,11 +10,12 @@ import weakref
 import pytest
 
 import hotring
-from hotring import (BadUnit, CircleGroup, IndexOutOfRange, NotAssociative,
-                     PolyRing, VerificationFailure, circle_determinant,
-                     corpus, determinant_certificate, enumerate_homs,
-                     gl_group, homotopy_classes, kv1_approx, quasi_inverse,
-                     stabilize, strict_pi0, validate_ring)
+from hotring import (BadUnit, BudgetExceeded, CircleGroup, IndexOutOfRange,
+                     NotAssociative, PolyRing, VerificationFailure,
+                     circle_determinant, corpus, determinant_certificate,
+                     enumerate_homs, gl_group, homotopy_classes, kv1_approx,
+                     quasi_inverse, stabilize, strict_pi0, validate_ring)
+from hotring import glk
 from hotring.glk import (_is_commutative, _path_ends, _poly_matrix,
                          _quotient_invariants)
 from hotring.poly import constant_of, evaluate
@@ -307,7 +309,20 @@ def test_normality_matches_the_definition_on_gl2(label):
     assert True in verdicts.values() and False in verdicts.values()
 
 
+def _ceiling_out_of_reach(monkeypatch):
+    """Double the ceiling K of kv1_approx with codes that are no matrix:
+    the identified subgroup has at most |K| elements, half the doubled
+    ceiling, so neither the stop nor the Lagrange cut can fire."""
+    path_ends = glk._path_ends
+
+    def doubled(group):
+        ends = path_ends(group)
+        return ends | {("out of reach", i) for i in range(len(ends))}
+    monkeypatch.setattr(glk, "_path_ends", doubled)
+
+
 def test_kv1_rejects_a_subgroup_that_is_not_normal(monkeypatch):
+    _ceiling_out_of_reach(monkeypatch)
     monkeypatch.setattr(CircleGroup, "is_normal", lambda self, sub: False)
     with pytest.raises(VerificationFailure):
         kv1_approx(corpus()["sq0_z2"], 1, 1)
@@ -493,13 +508,131 @@ KV1_LEVELS = (
 @pytest.mark.parametrize("label,n,d", KV1_LEVELS)
 def test_kv1_matches_unpruned_reference(label, n, d):
     ring = RINGS[label]
-    gens, subgroup, reps, class_map, inv = _kv1_reference(ring, n, d)
+    _, subgroup, reps, class_map, inv = _kv1_reference(ring, n, d)
     pres = kv1_approx(ring, n, d)
-    assert pres.generators == gens
+    assert pres.group.subgroup_closure(pres.generators) == subgroup
     assert pres.subgroup == subgroup
     assert pres.reps == reps
     assert pres.class_map == class_map
     assert pres.invariant_factors == inv
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _decided_by_walk(ring, n, d):
+    """How many path candidates kv1_approx decides: those, in order, whose
+    end is in the ceiling and outside the closure of the ends found
+    before; decided here by quasi_inverse over A[t]."""
+    group = gl_group(ring, n)
+    pring = PolyRing(ring, ("t",))
+    zero = mat_zero(ring, n)
+    ceiling = {group._decode(c) for c in _path_ends(group)}
+    found, closure, decided = [], {zero}, 0
+    for coeffs in itertools.product(matrices(ring, n), repeat=d):
+        end = functools.reduce(lambda a, b: tuple(
+            tuple(map(ring.add, x, y)) for x, y in zip(a, b)), coeffs)
+        if end not in ceiling or end in closure:
+            continue
+        decided += 1
+        pm = _poly_matrix(pring, "t", [zero] + list(coeffs))
+        if quasi_inverse(pring, pm).status == "ok":
+            found.append(end)
+            closure = set(group.subgroup_closure(found))
+    return decided
+
+
+@pytest.mark.parametrize("label,n,d", [
+    ("z3_unital", 2, 2), ("z2_unital", 2, 2), ("sq0_z2", 2, 2),
+    ("graded_dual", 2, 1), ("z4_unital", 2, 1), ("z3_unital", 1, 3)])
+def test_kv1_with_its_ceiling_out_of_reach_runs_every_step(monkeypatch,
+                                                           label, n, d):
+    # the stop and the cut change no output; without them every candidate
+    # that could enlarge H is decided and H is tested for normality
+    ring = RINGS[label]
+    stopped = kv1_approx(ring, n, d)
+    _ceiling_out_of_reach(monkeypatch)
+    decided = _count_calls(monkeypatch, glk, "_t_adic_quasi_inverse")
+    normal = _count_calls(monkeypatch, CircleGroup, "is_normal")
+    pres = kv1_approx(ring, n, d)
+    assert len(decided) == _decided_by_walk(ring, n, d)
+    assert len(normal) == 1
+    assert pres.subgroup == stopped.subgroup
+    assert pres.reps == stopped.reps
+    assert pres.class_map == stopped.class_map
+    assert pres.invariant_factors == stopped.invariant_factors
+    assert pres.generators == stopped.generators
+
+
+def test_kv1_stops_deciding_once_the_subgroup_meets_its_ceiling(monkeypatch):
+    # 386 candidates were decided on z3_unital (2, 2) before the stop; SL_2
+    # is generated by the first two ends found
+    decided = _count_calls(monkeypatch, glk, "_t_adic_quasi_inverse")
+    normal = _count_calls(monkeypatch, CircleGroup, "is_normal")
+    pres = kv1_approx(corpus()["z3_unital"], 2, 2)
+    assert len(pres.subgroup) == 24
+    assert len(decided) <= 5
+    assert not normal
+
+
+def test_lagrange_cut_keeps_a_subgroup_of_index_two():
+    # z3_unital (2, 2)'s H = SL_2(F_3) has 24 = 48/2 elements: the cut
+    # returns G only past 24, so closing H gives H
+    pres = kv1_approx(RINGS["z3_unital"], 2, 2)
+    g = pres.group
+    assert g.order() == 48 and len(pres.subgroup) == 24
+    assert g.subgroup_closure(pres.subgroup) == pres.subgroup
+    assert g.subgroup_closure(pres.generators) == pres.subgroup
+    outside = next(m for m in g.elements if m not in pres.subgroup)
+    assert g.subgroup_closure(pres.generators + [outside]) == g.elements
+    # past |G|/2 elements the closure is G, and gens is read no further
+    read = []
+
+    def codes():
+        for c in g._codes:
+            read.append(c)
+            yield c
+    closure, kept = g._generate(codes())
+    assert closure == set(g._codes)
+    assert len(read) < len(g._codes)
+
+
+def test_kv1_path_count_over_budget_is_refused():
+    # GL_2(F_3) has 3^4 = 81 codes, within budget; its degree-2 paths
+    # number 3^8 = 6561
+    with pytest.raises(BudgetExceeded) as refused:
+        kv1_approx(corpus()["z3_unital"], 2, 2, budget=1000)
+    assert (refused.value.required, refused.value.budget) == (6561, 1000)
+
+
+def _m2_f2():
+    """M_2(F_2) on e11, e12, e21, e22: e_ij e_kl = [j = k] e_il."""
+    cells = [(i, j) for i in range(2) for j in range(2)]
+    table = [[tuple(int(j == k and (i, l) == c) for c in cells)
+              for k, l in cells] for i, j in cells]
+    return validate_ring((2,) * 4, table, unit=(1, 0, 0, 1), label="m2_f2")
+
+
+def test_kv1_on_a_noncommutative_ring_with_unit():
+    # K = GL_1(M_2(F_2)) = GL_2(F_2) of order 6, and the determinant
+    # certificate refuses a ring that is not commutative
+    ring = _m2_f2()
+    assert ring.unit is not None and not _is_commutative(ring)
+    pres = kv1_approx(ring, 1, 1)
+    group = pres.group
+    assert group.order() == 6
+    assert _path_ends(group) == set(group._codes)
+    assert pres.order == 1 and len(pres.subgroup) == 6
+    with pytest.raises(BadUnit):
+        determinant_certificate(pres)
 
 
 @pytest.mark.parametrize("label", ["tower3", "upper3_z2"])
