@@ -15,9 +15,9 @@ from .errors import HotringError, MembershipViolation, VerificationFailure
 from .poly import (Poly, PolyRing, coefficient_map, evaluate, fresh_var, imul,
                    ivar, lift, lower, one_minus, scalar_base_of, slices,
                    substitute, substitution_hom)
-from .rings import (FuncHom, RingHom, _UnionFind, _annihilator, _codes,
-                    _first_nonmultiplicative, _multiplicative_images, compose,
-                    identity_hom, zero_hom)
+from .rings import (FiniteRing, FuncHom, RingHom, _UnionFind, _annihilator,
+                    _codes, _first_nonmultiplicative, _multiplicative_images,
+                    compose, enumerate_homs, identity_hom, zero_hom)
 from .virtual import PairRing
 
 
@@ -49,7 +49,8 @@ def eval_endpoint(ring, value, var, bit):
 
 def element_slices(ring, value, var):
     """Decompose an element of the carrier R[var] into {exp: element of R};
-    None when some slice fails to be an element of R at all."""
+    None when some slice fails to be an element of R at all.  For a
+    FiniteRing R the terms are read in one pass, coefficients as they are."""
     if isinstance(ring, PairRing) and isinstance(value, tuple):
         ls = element_slices(ring.left, value[0], var)
         rs = element_slices(ring.right, value[1], var)
@@ -57,6 +58,15 @@ def element_slices(ring, value, var):
             return None
         return {e: (ls.get(e, ring.left.zero()), rs.get(e, ring.right.zero()))
                 for e in set(ls) | set(rs)}
+    if isinstance(ring, FiniteRing):
+        out = {}
+        for mono, c in value.terms:
+            e = (mono[0][1] if len(mono) == 1 and mono[0][0] == var
+                 else None if mono else 0)
+            if e is None or e in out:
+                return None
+            out[e] = c
+        return out
     try:
         return {e: lower(ring, q) for e, q in slices(value, var).items()}
     except MembershipViolation:
@@ -134,11 +144,13 @@ def verify_certificate(cert, probes=50, rng=None):
     (the sum of the slices).  An endpoint stored as a RingHom is compared
     through its stored image reduced in its target, which is what
     ``apply`` would return on the generator.  Multiplicativity is checked
-    last, on every generator pair, by convolving the same slices with R's
-    own arithmetic (see rings._first_nonmultiplicative): it reads none of
-    the coefficient checks or element codes the search runs on.  The
-    failure reported is the first one in the order membership, order,
-    endpoint0, endpoint1 (generator by generator), then multiplicative.
+    last, on every generator pair, by convolving the same slices (see
+    rings._first_nonmultiplicative).  For a FiniteRing R the order check,
+    endpoint 1 and the convolution sum raw coordinates and reduce once,
+    reading none of the coefficient checks or element codes the search
+    runs on.  The failure reported is the first one in the order
+    membership, order, endpoint0, endpoint1 (generator by generator),
+    then multiplicative.
     """
     ring = cert.target
     h = cert.hom
@@ -146,6 +158,7 @@ def verify_certificate(cert, probes=50, rng=None):
     if isinstance(h, RingHom):
         src = h.source
         zero = ring.zero()
+        orders = ring.orders if isinstance(ring, FiniteRing) else None
         checked = 0
         slices_of = []
         for i, img in enumerate(h.images):
@@ -156,13 +169,18 @@ def verify_certificate(cert, probes=50, rng=None):
                 return CertificateReport(False, "exact", checked,
                                          ("membership", i))
             d = src.orders[i]
-            if not all(ring.is_zero(ring.scalar(d, x)) for x in sl.values()):
+            if (any(d * c % o for x in sl.values() for c, o in zip(x, orders))
+                    if orders else not all(ring.is_zero(ring.scalar(d, x))
+                                           for x in sl.values())):
                 return CertificateReport(False, "exact", checked,
                                          ("order", i))
             if not _is_image(sl.get(0, zero), cert.f0, src, i):
                 return CertificateReport(False, "exact", checked,
                                          ("endpoint0", i))
-            if not _is_image(ring.sum(sl.values()), cert.f1, src, i):
+            end1 = (tuple(map(int.__mod__, map(sum, zip(zero, *sl.values())),
+                              orders))
+                    if orders else ring.sum(sl.values()))
+            if not _is_image(end1, cert.f1, src, i):
                 return CertificateReport(False, "exact", checked,
                                          ("endpoint1", i))
         bad = _first_nonmultiplicative(src, ring, slices_of)
@@ -214,15 +232,13 @@ def _is_image(x, f, src, i):
 def flip_certificate(cert):
     """Reverse orientation through var -> 1 - var (the sigma substitution)."""
     ring = cert.target
+    if isinstance(ring, PairRing):
+        raise HotringError(f"flip_certificate into {ring.label}: the flip "
+                           "does not support a pair ring target")
     sub = {cert.var: one_minus(cert.var)}
-
-    def flip_value(v):
-        if isinstance(ring, PairRing):
-            raise NotImplementedError("flip on pair targets not needed")
-        return substitute(scalar_base_of(ring), v, sub)
-
-    h = compose(FuncHom(cert.hom.target, cert.hom.target, flip_value),
-                cert.hom, label=f"flip({cert.hom.label})")
+    flip = FuncHom(cert.hom.target, cert.hom.target,
+                   lambda v: substitute(scalar_base_of(ring), v, sub))
+    h = compose(flip, cert.hom, label=f"flip({cert.hom.label})")
     return HomotopyCertificate(h, cert.f1, cert.f0, cert.var)
 
 
@@ -279,7 +295,7 @@ class HomotopyChain:
 def _hom_key(f):
     if isinstance(f, RingHom):
         return f.images
-    raise TypeError("chain endpoints must be finite-source homs")
+    raise HotringError("chain endpoints must be finite-source homs")
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +437,11 @@ def homotopy_classes(homs, degree, budget=200_000):
     """Union-find closure over elementary homotopies of degree <= degree.
 
     Every merge carries a verified certificate; the partition refines the
-    true homotopy relation (only genuine identifications are made).  The
-    searches read the check tables and annihilators that search_elementary
-    keeps on the source and target, so a later call between the same
-    rings builds none of them again."""
+    true homotopy relation (only genuine identifications are made).  Degree
+    0 is searched only between equal maps: its one certificate is the
+    constant one.  The searches read the check tables and annihilators
+    that search_elementary keeps on the source and target, so a later
+    call between the same rings builds none of them again."""
     homs = sorted(homs, key=lambda h: h.images)
     uf = _UnionFind(len(homs))
     edges = {}
@@ -436,12 +453,13 @@ def homotopy_classes(homs, degree, budget=200_000):
         for j in range(i + 1, len(homs)):
             if uf.find(i) == uf.find(j):
                 continue
-            outcome = search_up_to(homs[i], homs[j], degree, budget=budget)
-            if isinstance(outcome, HomotopyCertificate):
-                edges[(i, j)] = outcome
-                uf.union(i, j)
-                remaining -= 1
-                if remaining <= 1:
+            for d in range(0 if homs[i].images == homs[j].images else 1,
+                           degree + 1):
+                cert = search_elementary(homs[i], homs[j], d, budget=budget)
+                if isinstance(cert, HomotopyCertificate):
+                    edges[(i, j)] = cert
+                    uf.union(i, j)
+                    remaining -= 1
                     break
     return ClassesResult(homs, uf, edges, degree)
 
@@ -452,8 +470,6 @@ def search_homotopy_equivalence(f, candidates, degree, budget=200_000):
     Uses the class closure on both endomorphism sets; chains longer than
     4 certificates are rejected.  Returns (g, chain_fg, chain_gf) or
     NotFoundAtBound."""
-    from .rings import enumerate_homs
-
     r_ring, s_ring = f.source, f.target
     end_s = homotopy_classes(enumerate_homs(s_ring, s_ring), degree,
                              budget=budget)
@@ -461,9 +477,8 @@ def search_homotopy_equivalence(f, candidates, degree, budget=200_000):
                              budget=budget)
     id_s = end_s.index_of(identity_hom(s_ring))
     id_r = end_r.index_of(identity_hom(r_ring))
-    searched = 0
-    for g in sorted(candidates, key=lambda h: h.images):
-        searched += 1
+    candidates = sorted(candidates, key=lambda h: h.images)
+    for g in candidates:
         fg = end_s.index_of(compose(f, g))
         gf = end_r.index_of(compose(g, f))
         if fg is None or gf is None:
@@ -473,7 +488,7 @@ def search_homotopy_equivalence(f, candidates, degree, budget=200_000):
             chain_gf = end_r.chain_between(gf, id_r)
             if len(chain_fg) <= 4 and len(chain_gf) <= 4:
                 return g, chain_fg, chain_gf
-    return NotFoundAtBound(degree, searched)
+    return NotFoundAtBound(degree, len(candidates))
 
 
 # ---------------------------------------------------------------------------

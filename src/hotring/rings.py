@@ -156,10 +156,7 @@ class FiniteRing(Ring):
                         for x, d in zip(a, self.orders)))
 
     def size(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return math.prod(self.orders)
 
     def elements(self):
         return (tuple(c) for c in itertools.product(*(range(d) for d in self.orders)))
@@ -415,7 +412,10 @@ def _first_nonmultiplicative(source, target, slices_of):
     {0: image} for a plain image), do not multiply like the generators;
     None when every pair passes.  The pair passes exactly when
     sum_l t_ijl s_l[e] = sum_{a+b=e} s_i[a] s_j[b] in target for every e,
-    t_ijl the structure constants of source."""
+    t_ijl the structure constants of source.  A FiniteRing target sums
+    lhs - rhs as raw integers over nonzero terms and reduces once per pair."""
+    if isinstance(target, FiniteRing):
+        return _first_nonmultiplicative_finite(source, target, slices_of)
     zero = target.zero()
     for i, j in _all_pairs(source):
         lhs, rhs = {}, {}
@@ -429,6 +429,31 @@ def _first_nonmultiplicative(source, target, slices_of):
                 rhs[a + b] = target.add(rhs[a + b], p) if a + b in rhs else p
         if any(lhs.get(e, zero) != rhs.get(e, zero) for e in lhs | rhs):
             return (i, j)
+    return None
+
+
+def _first_nonmultiplicative_finite(source, target, slices_of):
+    zero = target.zero()
+    support = {(i, j): terms for i, prods in source._products
+               for j, terms in prods}
+    products = [(p, q, m, t) for p, prods in target._products
+                for q, terms in prods for m, t in terms]
+    slices_of = [[(e, x) for e, x in sl.items() if any(x)] for sl in slices_of]
+    # a pair outside support can fail only on a nonzero product of slices
+    live = [i for i, sl in enumerate(slices_of) if sl] if products else []
+    for i, j in sorted(support.keys() | {(i, j) for i in live for j in live}):
+        diff = {}       # e -> coordinates of lhs - rhs at var^e, unreduced
+        for l, c in support.get((i, j), ()):
+            for e, x in slices_of[l]:
+                diff[e] = [u + c * y for u, y in zip(diff.get(e, zero), x)]
+        for a, x in slices_of[i]:
+            for b, y in slices_of[j]:
+                v = diff.setdefault(a + b, list(zero))
+                for p, q, m, t in products:
+                    v[m] -= t * x[p] * y[q]
+        for v in diff.values():
+            if any(map(int.__mod__, v, target.orders)):
+                return (i, j)
     return None
 
 
@@ -681,10 +706,7 @@ class SubgroupPresentation:
                      for i in self._relations._keep]
 
     def size(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return math.prod(self.orders)
 
     def coords(self, v):
         """Coordinates of ambient element v in the subgroup basis."""

@@ -290,6 +290,27 @@ def verify_certificate_exact_reference(cert):
     return (True, "exact", checked + src.ngens ** 2, None)
 
 
+def homotopy_classes_reference(homs, degree, budget=200_000):
+    """(sorted homs, {(i, j): certificate}) of the class closure as it ran
+    before degree 0 was skipped between distinct maps: one search_up_to,
+    degrees 0..degree, per pair of homs in different classes."""
+    from hotring.homotopy import HomotopyCertificate, search_up_to
+    from hotring.rings import _UnionFind
+
+    homs = sorted(homs, key=lambda h: h.images)
+    uf = _UnionFind(len(homs))
+    edges = {}
+    for i in range(len(homs)):
+        for j in range(i + 1, len(homs)):
+            if uf.find(i) == uf.find(j):
+                continue
+            outcome = search_up_to(homs[i], homs[j], degree, budget=budget)
+            if isinstance(outcome, HomotopyCertificate):
+                edges[(i, j)] = outcome
+                uf.union(i, j)
+    return homs, edges
+
+
 # ---------------------------------------------------------------------------
 # matrices over any ring by its tuple arithmetic: the reference that the
 # coded arithmetic of hotring.glk is compared against

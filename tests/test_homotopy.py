@@ -15,9 +15,10 @@ from hotring import (BudgetExceeded, FuncHom, HomotopyCertificate,
                      search_up_to, verify_certificate, zero_hom, zero_ring,
                      GRADING)
 from hotring.homotopy import carrier_ring, constant_certificate, eval_endpoint
-from hotring.poly import iconst, imul, ivar, substitution_hom
+from hotring.poly import Poly, iconst, imul, ivar, substitution_hom
 
-from oracles import (enumerate_homs_oracle, enumerate_homs_reference,
+from oracles import (carrier_first_nonmultiplicative, enumerate_homs_oracle,
+                     enumerate_homs_reference, homotopy_classes_reference,
                      search_elementary_oracle, search_elementary_reference,
                      verify_certificate_exact_reference)
 
@@ -656,3 +657,197 @@ def test_probe_mode_reports_each_failure(kind):
     assert not rep.valid
     assert rep.mode == "probes"
     assert rep.failure[0] == kind
+
+
+# ---------------------------------------------------------------------------
+# the class closure searches degree 0 only between equal maps
+
+
+def test_classes_match_the_per_pair_reference():
+    """Same sorted homs, same edges and the same certificate images as
+    one search_up_to per pair, on every corpus pair with two or more homs
+    at degrees 0-3."""
+    edges = 0
+    for (a, b), homs in CORPUS_HOMS.items():
+        if len(homs) < 2:
+            continue
+        for d in range(4):
+            result = homotopy_classes(homs, d)
+            ref_homs, ref_edges = homotopy_classes_reference(homs, d)
+            assert [h.images for h in result.homs] == \
+                [h.images for h in ref_homs], (a, b, d)
+            assert sorted(result.edges) == sorted(ref_edges), (a, b, d)
+            for key, cert in result.edges.items():
+                ref = ref_edges[key]
+                assert cert.hom.images == ref.hom.images, (a, b, d, key)
+                assert (cert.f0, cert.f1, cert.var) == \
+                    (ref.f0, ref.f1, ref.var), (a, b, d, key)
+            edges += len(ref_edges)
+    assert edges > 2000
+
+
+def _counting_searches(monkeypatch):
+    """The degrees search_elementary is called at, in call order."""
+    import hotring.homotopy as homotopy
+
+    degrees = []
+    search = homotopy.search_elementary
+
+    def counted(f0, f1, degree, budget=200_000):
+        degrees.append(degree)
+        return search(f0, f1, degree, budget=budget)
+    monkeypatch.setattr(homotopy, "search_elementary", counted)
+    return degrees
+
+
+def test_classes_skip_degree_zero_between_distinct_maps(monkeypatch):
+    """tower3 -> tower3 has 512 homs, all in one class at degree 1: the
+    closure searches each of the 511 edges once, at degree 1; one
+    search_up_to per pair also tries degree 0 first, 1,022 searches."""
+    homs = CORPUS_HOMS[("tower3", "tower3")]
+    degrees = _counting_searches(monkeypatch)
+    result = homotopy_classes(homs, 1)
+    assert len(result.edges) == 511 and len(result.classes()) == 1
+    assert degrees == [1] * 511
+    degrees.clear()
+    homotopy_classes_reference(homs, 1)
+    assert len(degrees) == 1022 and degrees.count(0) == 511
+
+
+def test_classes_search_degree_zero_between_equal_maps(monkeypatch):
+    """A hom listed twice is merged by the constant certificate, found at
+    degree 0 and by no search of higher degree."""
+    r = RINGS["two_z8"]
+    f = identity_hom(r)
+    degrees = _counting_searches(monkeypatch)
+    result = homotopy_classes([f, RingHom(r, r, f.images)], 2)
+    assert degrees == [0]
+    cert = result.edges[(0, 1)]
+    assert all(img.degree_in(cert.var) == 0 for img in cert.hom.images)
+    assert verify_certificate(cert).valid
+
+
+# ---------------------------------------------------------------------------
+# the exact check on coordinate tuples: edge cases on finite targets
+
+
+def _pair_certificate(left_image=None):
+    """id ~ 0 on sq0_z2 x sq0_z2 through the pair of sq0_z2's degree-1
+    certificate with itself, the left image optionally replaced."""
+    r = RINGS["sq0_z2"]
+    pair = PairRing(r, r)
+    cert = search_elementary(identity_hom(r), zero_hom(r, r), 1)
+    img = cert.hom.images[0]
+    hom = RingHom(r, carrier_ring(pair, cert.var),
+                  [(left_image or img, img)])
+    return HomotopyCertificate(hom, RingHom(r, pair, [((1,), (1,))]),
+                               zero_hom(r, pair), cert.var)
+
+
+def _mixed_term():
+    # g_1 t y: a term in t and in the foreign variable y
+    r, cert = _graded()
+    return _with_image(cert, 1, Poly(((((cert.var, 1), ("y", 1)), r.gen(1)),)))
+
+
+def _mixed_term_in_a_pair():
+    r = RINGS["sq0_z2"]
+    return _pair_certificate(Poly((((("x", 1), ("y", 1)), (1,)),)))
+
+
+def _zero_slices(top=False):
+    # 0 ~ 2 on two_z8 through g -> 2x, with an explicit zero coefficient
+    # in a slice of its own: the constant one, or one past the top.  The
+    # reference compares carrier polynomials as terms, and on two_z8
+    # (g^2 = 2g) both of its sides come out of carrier arithmetic, which
+    # drops the zero term.
+    r = RINGS["two_z8"]
+    cert = homotopy_classes(CORPUS_HOMS[("two_z8", "two_z8")], 1).edges[0, 2]
+    img = cert.hom.images[0]
+    zero_term = (((cert.var, 2),) if top else (), r.zero())
+    return _with_image(cert, 0, Poly(sorted(img.terms + (zero_term,))))
+
+
+@pytest.mark.parametrize("build, failure", [
+    (_mixed_term, ("membership", 1)),
+    (_mixed_term_in_a_pair, ("membership", 0)),
+    (_pair_certificate, None),
+    (_zero_slices, None),
+    (lambda: _zero_slices(top=True), None),
+], ids=["mixed-term", "mixed-term-in-a-pair", "pair", "zero-constant-slice",
+        "zero-top-slice"])
+def test_exact_check_on_tuples_matches_reference(build, failure):
+    cert = build()
+    got = _report(cert)
+    assert got == verify_certificate_exact_reference(cert)
+    assert got[3] == failure
+
+
+def test_ring_hom_witness_matches_carrier_reference():
+    """RingHom.validate checks products on the exact check's kernel: its
+    witness is the first failing pair of the whole-image check, on random
+    images that respect the generator orders, in every corpus pair."""
+    from hotring import VerificationFailure
+    from hotring.rings import _annihilator, _codes
+
+    rng = random.Random(5)
+    verdicts = {"hom": 0, "not": 0}
+    for a, b in CORPUS_HOMS:
+        src, tgt = RINGS[a], RINGS[b]
+        element = _codes(tgt).element
+        for _ in range(20):
+            images = [element[rng.choice(_annihilator(tgt, d))]
+                      for d in src.orders]
+            expected = carrier_first_nonmultiplicative(src, tgt, images)
+            try:
+                RingHom(src, tgt, images).validate()
+                got = None
+            except VerificationFailure as exc:
+                got = exc.witness
+            assert got == expected, (a, b, images)
+            verdicts["hom" if got is None else "not"] += 1
+    assert min(verdicts.values()) > 100
+
+
+# ---------------------------------------------------------------------------
+# typed errors, reprs and the equivalence search's non-hom candidates
+
+
+def test_flip_into_a_pair_ring_is_a_typed_error():
+    cert = _pair_certificate()
+    assert _report(cert) == (True, "exact", 2, None)
+    with pytest.raises(HotringError, match=r"\(sq0_z2 x sq0_z2\)"):
+        flip_certificate(cert)
+
+
+def test_chain_with_function_endpoints_is_a_typed_error():
+    cert = _function_endpoints()
+    chain = HomotopyChain(cert.f0, [cert])
+    with pytest.raises(HotringError, match="finite-source homs"):
+        chain.validate()
+
+
+def test_certificate_and_verdict_reprs():
+    r = RINGS["sq0_z2"]
+    cert = search_elementary(identity_hom(r), zero_hom(r, r), 1)
+    assert repr(cert) == "<homotopy id_sq0_z2 ~ 0 via x>"
+    unlabeled = HomotopyCertificate(cert.hom, RingHom(r, r, [(1,)]),
+                                    RingHom(r, r, [(0,)]), "x")
+    assert repr(unlabeled) == "<homotopy f0 ~ f1 via x>"
+    u = RINGS["z2_unital"]
+    miss = search_up_to(identity_hom(u), zero_hom(u, u), 1)
+    assert not miss
+    assert repr(miss) == \
+        f"<not found at degree 1; {miss.searched} candidates>"
+
+
+def test_equivalence_skips_candidates_that_are_not_homs():
+    """On Z/3 with a unit, x -> 2x is additive but not multiplicative:
+    composed with the identity it is no listed endomorphism, so it is
+    passed over, and neither candidate answers."""
+    r = RINGS["z3_unital"]
+    doubling = RingHom(r, r, [(2,)])
+    out = search_homotopy_equivalence(identity_hom(r),
+                                      [doubling, zero_hom(r, r)], 1)
+    assert isinstance(out, NotFoundAtBound)
+    assert (out.degree, out.searched) == (1, 2)
