@@ -11,18 +11,18 @@ from .errors import (BadUnit, BudgetExceeded, DepthExceeded, HotringError,
                      IllDefined, IndexOutOfRange, MalformedInput,
                      MembershipViolation, NotAssociative, NotSurjective,
                      UnknownVariable, VerificationFailure)
-from .rings import (FiniteRing, FuncHom, Hom, IntegerRing, Ring, RingHom, ZZ,
-                    additive_closure, canonicalize, compose, enumerate_homs,
-                    ideal_closure, identity_hom, is_surjective,
-                    kernel_subring, product_ring, pullback, quotient,
-                    validate_ring, zero_hom, zero_ring)
+from .rings import (FiniteRing, FuncHom, Hom, IntegerRing, PairRing, Ring,
+                    RingHom, ZZ, additive_closure, canonicalize, compose,
+                    enumerate_homs, ideal_closure, identity_hom,
+                    is_surjective, kernel_subring, product_ring, pullback,
+                    quotient, validate_ring, zero_hom, zero_ring)
 from .poly import (LoopRing, PathRing, Poly, PolyLike, PolyRing,
                    coefficient_map, constant_of, double_loop_ring, evaluate,
                    iconst, ivar, monomial, one_minus, sigma_hom, slices,
                    substitute, substitution_hom, swap_homotopy, tau_hom)
-from .virtual import (OmegaTildeRing, PairRing, Unitalization, alpha_hom,
-                      beta_hom, mapping_path_ring, omega_pair_hom,
-                      omega_tilde, unitalization)
+from .virtual import (OmegaTildeRing, Unitalization, alpha_hom, beta_hom,
+                      mapping_path_ring, omega_pair_hom, omega_tilde,
+                      unitalization)
 from .simplicial import (SimplexRing, check_contraction_compatibility,
                          check_simplicial_identities, contraction_map)
 from .homotopy import (HomotopyCertificate, HomotopyChain, NotFoundAtBound,

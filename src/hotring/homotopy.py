@@ -7,79 +7,24 @@ on generators when S is finite and on sampled probes otherwise.  The
 search procedure is a semi-decision: a miss at a degree bound says
 nothing about homotopy in general, and the library never claims a
 negative beyond "not found at this bound".
+
+How R sits in R[x] (the carrier ring, var-slices, membership and
+endpoints) is decided in ``poly``; ``PairRing`` lives in ``rings``.
 """
 
 from __future__ import annotations
 
-from .errors import HotringError, MembershipViolation, VerificationFailure
-from .poly import (Poly, PolyRing, coefficient_map, evaluate, fresh_var, imul,
-                   ivar, lift, lower, one_minus, scalar_base_of, slices,
-                   substitute, substitution_hom)
-from .rings import (FiniteRing, FuncHom, RingHom, _UnionFind, _annihilator,
-                    _codes, _first_nonmultiplicative, _multiplicative_images,
-                    compose, enumerate_homs, identity_hom, zero_hom)
-from .virtual import PairRing
+import random
 
-
-# ---------------------------------------------------------------------------
-# carriers: the ring R with one homotopy variable adjoined
-
-
-def carrier_ring(ring, var):
-    """Arithmetic carrier for R[var]; membership is handled separately."""
-    if isinstance(ring, PairRing):
-        return PairRing(carrier_ring(ring.left, var),
-                        carrier_ring(ring.right, var),
-                        label=f"{ring.label}[{var}]")
-    # a polynomial ring flattens into its scalar base and variables
-    return PolyRing(ring, (var,), label=f"{ring.label}[{var}]")
-
-
-def eval_endpoint(ring, value, var, bit):
-    """Evaluate an element of R[var] at var = bit, landing back in R.
-
-    Supports both carrier shapes for a pair ring R: a pair of carriers
-    (component-wise construction) and a polynomial with R coefficients.
-    """
-    if isinstance(ring, PairRing) and isinstance(value, tuple):
-        return (eval_endpoint(ring.left, value[0], var, bit),
-                eval_endpoint(ring.right, value[1], var, bit))
-    return lower(ring, evaluate(scalar_base_of(ring), value, var, bit))
-
-
-def element_slices(ring, value, var):
-    """Decompose an element of the carrier R[var] into {exp: element of R};
-    None when some slice fails to be an element of R at all.  For a
-    FiniteRing R the terms are read in one pass, coefficients as they are."""
-    if isinstance(ring, PairRing) and isinstance(value, tuple):
-        ls = element_slices(ring.left, value[0], var)
-        rs = element_slices(ring.right, value[1], var)
-        if ls is None or rs is None:
-            return None
-        return {e: (ls.get(e, ring.left.zero()), rs.get(e, ring.right.zero()))
-                for e in set(ls) | set(rs)}
-    if isinstance(ring, FiniteRing):
-        out = {}
-        for mono, c in value.terms:
-            e = (mono[0][1] if len(mono) == 1 and mono[0][0] == var
-                 else None if mono else 0)
-            if e is None or e in out:
-                return None
-            out[e] = c
-        return out
-    try:
-        return {e: lower(ring, q) for e, q in slices(value, var).items()}
-    except MembershipViolation:
-        return None
-
-
-def slicewise_member(ring, value, var):
-    """Is this element of the carrier a genuine element of R[var], i.e.
-    does every var-slice lie in R?"""
-    sl = element_slices(ring, value, var)
-    if sl is None:
-        return False
-    return all(ring.contains(x) for x in sl.values())
+from .errors import HotringError, VerificationFailure
+from .poly import (Poly, carrier_ring, coefficient_map, eval_endpoint,
+                   fresh_var, imul, ivar, lift, member_slices, one_minus,
+                   scalar_base_of, slicewise_member, substitute,
+                   substitution_hom)
+from .rings import (FiniteRing, FuncHom, PairRing, RingHom, _UnionFind,
+                    _annihilator, _codes, _first_nonmultiplicative,
+                    _multiplicative_images, compose, enumerate_homs,
+                    identity_hom, zero_hom)
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +47,15 @@ class CertificateReport:
 
 
 class HomotopyCertificate:
-    """h : S -> R[var] with evaluations f0 and f1.
+    """h : S -> R[var] with evaluations f0 and f1.  The target of h is the
+    arithmetic model of R[var]: for a pair ring R either a pair of
+    carriers or polynomials with pair coefficients."""
 
-    ``carrier`` fixes the arithmetic model of R[var] (needed when R is a
-    pair ring, which has two equivalent carrier shapes)."""
-
-    def __init__(self, hom, f0, f1, var, carrier=None):
+    def __init__(self, hom, f0, f1, var):
         self.hom = hom
         self.f0 = f0
         self.f1 = f1
         self.var = var
-        self.carrier = carrier
 
     @property
     def source(self):
@@ -163,9 +106,9 @@ def verify_certificate(cert, probes=50, rng=None):
         slices_of = []
         for i, img in enumerate(h.images):
             checked += 1
-            sl = element_slices(ring, img, cert.var)
+            sl = member_slices(ring, img, cert.var)
             slices_of.append(sl)
-            if sl is None or not all(ring.contains(x) for x in sl.values()):
+            if sl is None:
                 return CertificateReport(False, "exact", checked,
                                          ("membership", i))
             d = src.orders[i]
@@ -191,9 +134,7 @@ def verify_certificate(cert, probes=50, rng=None):
                                      ("multiplicative", bad))
         return CertificateReport(True, "exact", checked + src.ngens ** 2)
 
-    import random
     rng = rng or random.Random(0)
-    carrier = cert.carrier or carrier_ring(ring, cert.var)
     src = h.source
     checked = 0
     for _ in range(probes):
@@ -204,10 +145,10 @@ def verify_certificate(cert, probes=50, rng=None):
         if not slicewise_member(ring, ha, cert.var):
             return CertificateReport(False, "probes", checked,
                                      ("membership", a))
-        if h.apply(src.add(a, b)) != carrier.add(ha, hb):
+        if h.apply(src.add(a, b)) != h.target.add(ha, hb):
             return CertificateReport(False, "probes", checked,
                                      ("additive", (a, b)))
-        if h.apply(src.mul(a, b)) != carrier.mul(ha, hb):
+        if h.apply(src.mul(a, b)) != h.target.mul(ha, hb):
             return CertificateReport(False, "probes", checked,
                                      ("multiplicative", (a, b)))
         if eval_endpoint(ring, ha, cert.var, 0) != cert.f0.apply(a):

@@ -13,12 +13,16 @@ construction like the double loop ring of R is a set of polynomials in
 two variables over R cut out by endpoint conditions.  That keeps
 substitutions such as x -> 1-x or the x/y swap one-step operations.
 
-``lift`` and ``lower`` are the one place that decides how an element of a
-ring R sits inside R[x]: an element of a polynomial-shaped R already is a
-flat polynomial, and any other element becomes a constant polynomial.
-``scalar_base_of`` names the coefficient ring of that flat form, and
-``fresh_var`` is the one place that decides which x a construction
-adjoins: a name no ring involved already uses.
+This module is the one place that decides how an element of a ring R
+sits inside R[x] and how it is read back.  ``lift`` and ``lower`` embed
+and recover: an element of a polynomial-shaped R already is a flat
+polynomial, any other becomes a constant; ``scalar_base_of`` names the
+coefficients of that flat form.  ``carrier_ring`` is the arithmetic of
+R[x] (a pair of carriers for a pair ring R).  ``element_slices`` reads
+a carrier element into its var-slices in R; ``slicewise_member`` and
+the path and loop rings decide membership from those slices, and
+``eval_endpoint`` evaluates at x = 0 or 1 back into R.  ``fresh_var``
+picks the x a construction adjoins: a name no ring involved uses.
 
 Affine expressions like 1 - x never live in a nonunital R[x]; they are
 integer polynomials (polys over the ZZ ring) and enter only through
@@ -28,7 +32,7 @@ substitution and the integer action.
 from __future__ import annotations
 
 from .errors import HotringError, MembershipViolation, UnknownVariable
-from .rings import FuncHom, Ring, ZZ
+from .rings import FiniteRing, FuncHom, PairRing, Ring, ZZ
 
 
 class Poly:
@@ -407,7 +411,6 @@ def fresh_var(name, *rings):
     """The variable a construction adjoins to the given rings: ``name``
     when none of them uses it, else the first unused of stem1, stem2, ...,
     where the stem is ``name`` without its trailing digits."""
-    from .virtual import PairRing
     used, rings = set(), list(rings)
     while rings:
         ring = rings.pop()
@@ -431,6 +434,68 @@ def lower(ring, q):
     MembershipViolation when R is not polynomial-shaped and q is not
     a constant."""
     return q if isinstance(ring, PolyLike) else constant_of(ring, q)
+
+
+def carrier_ring(ring, var):
+    """Arithmetic carrier for R[var]; membership is handled separately."""
+    if isinstance(ring, PairRing):
+        return PairRing(carrier_ring(ring.left, var),
+                        carrier_ring(ring.right, var),
+                        label=f"{ring.label}[{var}]")
+    # a polynomial ring flattens into its scalar base and variables
+    return PolyRing(ring, (var,), label=f"{ring.label}[{var}]")
+
+
+def eval_endpoint(ring, value, var, bit):
+    """Evaluate an element of R[var] at var = bit, landing back in R.
+
+    Supports both carrier shapes for a pair ring R: a pair of carriers
+    (component-wise construction) and a polynomial with R coefficients.
+    """
+    if isinstance(ring, PairRing) and isinstance(value, tuple):
+        return (eval_endpoint(ring.left, value[0], var, bit),
+                eval_endpoint(ring.right, value[1], var, bit))
+    return lower(ring, evaluate(scalar_base_of(ring), value, var, bit))
+
+
+def element_slices(ring, value, var):
+    """Decompose an element of the carrier R[var] into {exp: element of R};
+    None when some slice fails to be an element of R at all.  For a
+    FiniteRing R the terms are read in one pass, coefficients as they are."""
+    if isinstance(ring, PairRing) and isinstance(value, tuple):
+        ls = element_slices(ring.left, value[0], var)
+        rs = element_slices(ring.right, value[1], var)
+        if ls is None or rs is None:
+            return None
+        return {e: (ls.get(e, ring.left.zero()), rs.get(e, ring.right.zero()))
+                for e in set(ls) | set(rs)}
+    if isinstance(ring, FiniteRing):
+        out = {}
+        for mono, c in value.terms:
+            e = (mono[0][1] if len(mono) == 1 and mono[0][0] == var
+                 else None if mono else 0)
+            if e is None or e in out:
+                return None
+            out[e] = c
+        return out
+    try:
+        return {e: lower(ring, q) for e, q in slices(value, var).items()}
+    except MembershipViolation:
+        return None
+
+
+def member_slices(ring, value, var):
+    """The var-slices of an element of the carrier when every one lies in
+    R, i.e. when it is a genuine element of R[var]; else None."""
+    sl = element_slices(ring, value, var)
+    if sl is not None and all(map(ring.contains, sl.values())):
+        return sl
+    return None
+
+
+def slicewise_member(ring, value, var):
+    """Is this element of the carrier a genuine element of R[var]?"""
+    return member_slices(ring, value, var) is not None
 
 
 class PolyRing(PolyLike):
@@ -457,14 +522,6 @@ class PolyRing(PolyLike):
         return _canon(sb, acc)
 
 
-def _base_contains(base, q):
-    """Is the slice polynomial q an element of the coefficient ring?"""
-    try:
-        return base.contains(lower(base, q))
-    except MembershipViolation:
-        return False
-
-
 class _Adjoined(PolyLike):
     """Polynomials over ``base`` in one more variable ``var``, cut out by
     conditions at the endpoints of ``var``."""
@@ -477,6 +534,12 @@ class _Adjoined(PolyLike):
         super().__init__(scalar_base_of(base), _vars_of(base) + (var,),
                          label or f"{self.prefix}({base.label};{var})")
 
+    def _member_slices(self, p):
+        """The var-slices of p as elements of the base, or None when p is
+        not an element of base[var]."""
+        return (member_slices(self.base, p, self.var)
+                if isinstance(p, Poly) and self._coeffs_ok(p) else None)
+
 
 class PathRing(_Adjoined):
     """ER: polynomials over R in a fresh variable with zero constant term."""
@@ -484,14 +547,8 @@ class PathRing(_Adjoined):
     prefix = "E"
 
     def contains(self, p):
-        if not (isinstance(p, Poly) and self._coeffs_ok(p)):
-            return False
-        for e, q in slices(p, self.var).items():
-            if e == 0:
-                return False
-            if not _base_contains(self.base, q):
-                return False
-        return True
+        sl = self._member_slices(p)
+        return sl is not None and 0 not in sl
 
     def sample(self, rng):
         acc = self.zero()
@@ -508,17 +565,9 @@ class LoopRing(_Adjoined):
     prefix = "Omega"
 
     def contains(self, p):
-        if not (isinstance(p, Poly) and self._coeffs_ok(p)):
-            return False
-        sl = slices(p, self.var)
-        if 0 in sl:
-            return False
-        total = Poly()
-        for e, q in sl.items():
-            if not _base_contains(self.base, q):
-                return False
-            total = poly_add(self.scalar_base, total, q)
-        return total.is_zero_poly()
+        sl = self._member_slices(p)
+        return (sl is not None and 0 not in sl
+                and self.base.is_zero(self.base.sum(sl.values())))
 
     def from_factor(self, q):
         """(var^2 - var) * q; always a member when q has base coefficients."""

@@ -7,9 +7,11 @@ of arbitrary elements is the bilinear extension of the table, so checking
 ring axioms on generators suffices.
 
 Also here: ring homomorphisms (determined by generator images when the
-source is finite), hom enumeration, ideals and quotients, fibre products,
-and kernel subrings.  Presentations of subgroups and quotients go through
-integer kernels and Smith normal form (see ``intlin``).
+source is finite), ``PairRing`` (pairs cut out by an optional predicate,
+for the fibre products of ``virtual`` and the pair carriers of ``poly``),
+hom enumeration, ideals and quotients, fibre products, and kernel
+subrings.  Presentations of subgroups and quotients go through integer
+kernels and Smith normal form (see ``intlin``).
 """
 
 from __future__ import annotations
@@ -400,6 +402,52 @@ def zero_hom(source, target):
     if isinstance(source, FiniteRing):
         return RingHom(source, target, [target.zero()] * source.ngens, label="0")
     return FuncHom(source, target, lambda x: target.zero(), label="0")
+
+
+class PairRing(Ring):
+    """Componentwise ring structure on pairs, optionally cut by a predicate."""
+
+    def __init__(self, left, right, predicate=None, sampler=None, label=None):
+        self.left = left
+        self.right = right
+        self.predicate = predicate
+        self.sampler = sampler
+        self.label = label or f"({left.label} x {right.label})"
+
+    def zero(self):
+        return (self.left.zero(), self.right.zero())
+
+    def add(self, a, b):
+        return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
+
+    def neg(self, a):
+        return (self.left.neg(a[0]), self.right.neg(a[1]))
+
+    def mul(self, a, b):
+        return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
+
+    def scalar(self, n, a):
+        return (self.left.scalar(n, a[0]), self.right.scalar(n, a[1]))
+
+    def contains(self, a):
+        if not (isinstance(a, tuple) and len(a) == 2):
+            return False
+        if not (self.left.contains(a[0]) and self.right.contains(a[1])):
+            return False
+        return self.predicate is None or self.predicate(a)
+
+    def sample(self, rng):
+        if self.sampler is not None:
+            return self.sampler(rng)
+        if self.predicate is None:
+            return (self.left.sample(rng), self.right.sample(rng))
+        raise NotImplementedError(f"no sampler for {self.label}")
+
+    def first(self):
+        return FuncHom(self, self.left, lambda a: a[0], label="pr1")
+
+    def second(self):
+        return FuncHom(self, self.right, lambda a: a[1], label="pr2")
 
 
 def _all_pairs(source):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 
 from .errors import HotringError, MalformedInput, VerificationFailure
-from .homotopy import HomotopyCertificate, carrier_ring, verify_certificate
-from .poly import Poly
+from .homotopy import HomotopyCertificate, verify_certificate
+from .poly import Poly, carrier_ring
 from .rings import RingHom, validate_ring
 from .triangle import K0Diagram
 

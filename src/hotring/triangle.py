@@ -13,20 +13,23 @@ with |stage| / |im rho|, both read off Smith forms: no kernel ring is built.
 
 from __future__ import annotations
 
+import random
 from functools import cache
 from math import comb
 
 from .errors import (DepthExceeded, HotringError, IndexOutOfRange,
                      MalformedInput, NotSurjective, VerificationFailure)
-from .homotopy import (HomotopyCertificate, carrier_ring, eval_endpoint,
+from .homotopy import (HomotopyCertificate, homotopy_classes,
                        verify_certificate)
-from .poly import (LoopRing, PathRing, Poly, PolyRing, coefficient_map,
-                   fresh_var, iconst, imul, isub, ivar, lift, one_minus,
-                   scalar_base_of, shift_poly, sigma_hom, substitute)
-from .rings import (FiniteRing, FuncHom, QuotientPresentation, RingHom,
-                    compose, identity_hom, is_surjective, kernel_subring,
-                    pullback, validate_ring, zero_hom)
-from .virtual import PairRing, mapping_path_ring
+from .poly import (LoopRing, PathRing, Poly, PolyRing, carrier_ring,
+                   coefficient_map, eval_endpoint, fresh_var, iconst, imul,
+                   isub, ivar, lift, one_minus, scalar_base_of, shift_poly,
+                   sigma_hom, slicewise_member, substitute)
+from .rings import (FiniteRing, FuncHom, PairRing, QuotientPresentation,
+                    RingHom, SubgroupPresentation, compose, enumerate_homs,
+                    identity_hom, is_surjective, kernel_subring, pullback,
+                    validate_ring, zero_hom)
+from .virtual import mapping_path_ring
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +63,6 @@ class FibrationFamily:
 
 def check_axioms(family, probes=25, rng=None):
     """Check Ax1-Ax4 on the family's diagram; report per axiom."""
-    import random
     rng = rng or random.Random(0)
     report = {}
 
@@ -147,7 +149,6 @@ class Factorization:
 
         def predicate(pair):
             a, q = pair
-            from .homotopy import slicewise_member
             if not slicewise_member(b_ring, q, var):
                 return False
             return eval_endpoint(b_ring, q, var, 0) == u.apply(a)
@@ -186,7 +187,6 @@ class Factorization:
             identity_hom(self.middle), hvar)
 
     def verify(self, probes=50, rng=None):
-        import random
         rng = rng or random.Random(0)
         a_ring, b_ring = self.u.source, self.u.target
         failures = []
@@ -252,7 +252,7 @@ class MappingPath:
         return HomotopyCertificate(
             FuncHom(self.ring, carrier, h, label="(b,p)->p(s)"),
             zero_hom(self.ring, c_ring),
-            compose(self.g, self.g1, label="g*g1"), svar, carrier=carrier)
+            compose(self.g, self.g1, label="g*g1"), svar)
 
 
 def mapping_path(g):
@@ -276,7 +276,6 @@ class PuppeSequence:
     def verify(self, probes=25, rng=None):
         """j-composites vanish exactly, null homotopies for the projection
         composites re-verify, j lands in the kernel of the projection."""
-        import random
         rng = rng or random.Random(0)
         failures = []
         for idx, mp in enumerate(self.stages):
@@ -414,9 +413,6 @@ class TruncatedPuppe:
         of each spot; incoming data enters through plain composition, so
         the largest stage is never partitioned.
         """
-        from .homotopy import homotopy_classes
-        from .rings import enumerate_homs
-
         chain = self.rings()       # [C, B, P1, P2, ...]
         maps_chain = self.maps()   # maps_chain[i]: chain[i+1] -> chain[i]
 
@@ -459,8 +455,6 @@ class TruncatedPuppe:
         |ker rho| = |stage| / |im rho|, so both orders are read off Smith
         forms of generator images and no kernel ring is built.
         """
-        from .rings import SubgroupPresentation
-
         failures = []
         for idx, (stage, rho, j, loops) in enumerate(self.stages):
             zero = rho.target.zero()
@@ -598,7 +592,6 @@ def octahedron(h, k, probes=40, rng=None):
     surjectivity of beta, and the identities psi gamma = j Omega l,
     psi delta = i.
     """
-    import random
     rng = rng or random.Random(0)
     b_ring, c_ring, d_ring = h.source, h.target, k.target
     if k.source is not c_ring:

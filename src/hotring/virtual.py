@@ -2,62 +2,16 @@
 
 These rings are usually infinite, so they carry a membership predicate
 and a sampler instead of an element list.  Fibre products of the form
-P(g) = B x_C EC, the factorization middle object A x_B B[x] and the
-paired loop ring all live here as pair rings whose components are other
-ring objects.
+P(g) = B x_C EC and the paired loop ring are built here as pair rings
+whose components are other ring objects.  ``PairRing`` itself lives in
+``rings`` and is re-exported here as the same class.
 """
 
 from __future__ import annotations
 
-from .rings import FuncHom, Ring, RingHom, FiniteRing
-from .poly import (LoopRing, PathRing, PolyRing, evaluate, lift, lower,
-                   poly_add, poly_sub, shift_poly)
-
-
-class PairRing(Ring):
-    """Componentwise ring structure on pairs, optionally cut by a predicate."""
-
-    def __init__(self, left, right, predicate=None, sampler=None, label=None):
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self.sampler = sampler
-        self.label = label or f"({left.label} x {right.label})"
-
-    def zero(self):
-        return (self.left.zero(), self.right.zero())
-
-    def add(self, a, b):
-        return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.left.neg(a[0]), self.right.neg(a[1]))
-
-    def mul(self, a, b):
-        return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
-
-    def scalar(self, n, a):
-        return (self.left.scalar(n, a[0]), self.right.scalar(n, a[1]))
-
-    def contains(self, a):
-        if not (isinstance(a, tuple) and len(a) == 2):
-            return False
-        if not (self.left.contains(a[0]) and self.right.contains(a[1])):
-            return False
-        return self.predicate is None or self.predicate(a)
-
-    def sample(self, rng):
-        if self.sampler is not None:
-            return self.sampler(rng)
-        if self.predicate is None:
-            return (self.left.sample(rng), self.right.sample(rng))
-        raise NotImplementedError(f"no sampler for {self.label}")
-
-    def first(self):
-        return FuncHom(self, self.left, lambda a: a[0], label="pr1")
-
-    def second(self):
-        return FuncHom(self, self.right, lambda a: a[1], label="pr2")
+from .rings import FiniteRing, FuncHom, PairRing, Ring, RingHom, ZZ
+from .poly import (LoopRing, PathRing, PolyRing, eval_endpoint, evaluate,
+                   lift, poly_add, poly_sub, shift_poly)
 
 
 class Unitalization(Ring):
@@ -96,7 +50,6 @@ class Unitalization(Ring):
         return (rng.randrange(-4, 5), self.base.sample(rng))
 
     def augmentation(self):
-        from .rings import ZZ
         return FuncHom(self, ZZ, lambda a: a[0], label="eps")
 
     def inclusion(self):
@@ -172,7 +125,7 @@ def mapping_path_ring(g, var, label=None):
 
     def predicate(pair):
         b, p = pair
-        return lower(c_ring, evaluate(sb, p, var, 1)) == g.apply(b)
+        return eval_endpoint(c_ring, p, var, 1) == g.apply(b)
 
     def sampler(rng):
         b = b_ring.sample(rng)

@@ -269,7 +269,7 @@ def verify_certificate_exact_reference(cert):
                                   slicewise_member)
 
     ring = cert.target
-    carrier = cert.carrier or carrier_ring(ring, cert.var)
+    carrier = carrier_ring(ring, cert.var)
     h = cert.hom
     src = h.source
     checked = 0
@@ -309,6 +309,51 @@ def homotopy_classes_reference(homs, degree, budget=200_000):
                 edges[(i, j)] = outcome
                 uf.union(i, j)
     return homs, edges
+
+
+# ---------------------------------------------------------------------------
+# path and loop ring membership on slice polynomials, each lowered into the
+# base on its own, as it ran before membership read poly.member_slices
+
+
+def _slice_in_base(base, q):
+    """Is the slice polynomial q an element of the coefficient ring?"""
+    from hotring import MembershipViolation
+    from hotring.poly import lower
+
+    try:
+        return base.contains(lower(base, q))
+    except MembershipViolation:
+        return False
+
+
+def path_contains_reference(ring, p):
+    """PathRing.contains: p has base coefficients and variables, no slice
+    at exponent 0, and every var-slice lowers into the base."""
+    from hotring.poly import Poly, slices
+
+    if not (isinstance(p, Poly) and ring._coeffs_ok(p)):
+        return False
+    return all(e != 0 and _slice_in_base(ring.base, q)
+               for e, q in slices(p, ring.var).items())
+
+
+def loop_contains_reference(ring, p):
+    """LoopRing.contains: as for the path ring, and the slice polynomials
+    sum to 0 (p vanishes at var = 1)."""
+    from hotring.poly import Poly, poly_add, slices
+
+    if not (isinstance(p, Poly) and ring._coeffs_ok(p)):
+        return False
+    sl = slices(p, ring.var)
+    if 0 in sl:
+        return False
+    total = Poly()
+    for q in sl.values():
+        if not _slice_in_base(ring.base, q):
+            return False
+        total = poly_add(ring.scalar_base, total, q)
+    return total.is_zero_poly()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hotring.cli import main
 from hotring.serialize import (certificate_from_json, certificate_to_json,
                                dump_json, hom_to_json, poly_from_json,
                                poly_to_json, ring_from_json, ring_to_json)
-from hotring.store import ResultStore
+from hotring.store import ResultStore, default_store_root
 
 RINGS = corpus()
 
@@ -931,3 +931,19 @@ def test_corpus_onto_a_file_is_refused(workdir, capsys, argv, named):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"].startswith(f"cannot write {named.format(file=target)}:")
+
+
+def test_default_store_root_is_under_home_without_hotring_home(
+        tmp_path, monkeypatch):
+    """With HOTRING_HOME unset or empty the store is ~/.hotring; nothing
+    is written there to say so."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    for value in (None, ""):
+        if value is None:
+            monkeypatch.delenv("HOTRING_HOME", raising=False)
+        else:
+            monkeypatch.setenv("HOTRING_HOME", value)
+        assert default_store_root() == str(tmp_path / ".hotring")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setenv("HOTRING_HOME", str(tmp_path / "store"))
+    assert default_store_root() == str(tmp_path / "store")

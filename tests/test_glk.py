@@ -939,3 +939,19 @@ def test_quasi_inverse_unknown_only_off_one_finite_variable():
     zt = PolyRing(ZZ, ("t",))
     assert quasi_inverse(zt, ((zt.monomial(2, (("t", 1),)),),)).status == \
         "unknown"
+
+
+def test_qi_result_truth_and_repr():
+    """A QiResult is true exactly when it decided "ok"; its repr names
+    the status and the strategies tried."""
+    sq0, unital = RINGS["sq0_z2"], RINGS["z2_unital"]
+    two = PolyRing(sq0, ("s", "t"))
+    results = [quasi_inverse(sq0, ((sq0.gen(0),),)),
+               quasi_inverse(unital, ((unital.gen(0),),)),
+               quasi_inverse(two, ((two.monomial(sq0.gen(0),
+                                                 (("s", 1), ("t", 1))),),))]
+    assert [bool(res) for res in results] == [True, False, False]
+    assert [repr(res) for res in results] == [
+        "<qi ok; trace ['circle powers(1)']>",
+        "<qi not_qi; trace ['circle powers(1)']>",
+        "<qi unknown; trace ['no strategy applied']>"]

@@ -114,6 +114,42 @@ def test_polylike_dispatch_stays_in_poly():
     assert [s for s in sites if s.split(":")[0] not in POLYLIKE_SITES] == []
 
 
+# how an element of R[x] is read back into R: poly.py's readers only
+SLICE_READERS = {"lower", "slices", "constant_of"}
+
+
+def test_only_poly_reads_slices():
+    """Carriers, var-slices, membership and endpoints are decided in
+    poly.py: no other module calls lower, slices or constant_of; they go
+    through element_slices, member_slices, slicewise_member and
+    eval_endpoint."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) in SLICE_READERS
+                       or getattr(node.func, "attr", None) in SLICE_READERS)]
+    assert calls == []
+
+
+def test_no_function_imports():
+    """Every import sits at module level, where it runs once: no function
+    in the package has an import statement of its own."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{func.name}:{node.lineno}"
+                      for func in ast.walk(tree)
+                      if isinstance(func, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      for node in ast.walk(func)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert offenders == []
+
+
 # every option of a CLI command that is a parameter, not a file
 CLI_PARAMETERS = {"help", "budget", "seed", "probes", "out", "json",
                   "no_store", "degree", "size", "length", "depth_cap",

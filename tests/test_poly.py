@@ -4,13 +4,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hotring import (HotringError, LoopRing, MembershipViolation, PathRing,
-                     Poly, PolyLike, PolyRing, UnknownVariable, constant_of,
-                     corpus, double_loop_ring, evaluate, iconst, ivar,
-                     monomial, one_minus, sigma_hom, slices, substitute,
-                     substitution_hom, swap_homotopy, tau_hom)
-from hotring.poly import (iadd, imul, int_action, ipow, isub,
-                          loop_unit_ipoly)
+from hotring import (HotringError, LoopRing, MembershipViolation, PairRing,
+                     PathRing, Poly, PolyLike, PolyRing, UnknownVariable,
+                     constant_of, corpus, double_loop_ring, evaluate, iconst,
+                     ivar, mapping_path_ring, monomial, one_minus, sigma_hom,
+                     slices, substitute, substitution_hom, swap_homotopy,
+                     tau_hom, tower_homs)
+from hotring.poly import (iadd, imul, int_action, ipow, isub, lift,
+                          loop_unit_ipoly, shift_poly)
+from oracles import loop_contains_reference, path_contains_reference
 
 RINGS = corpus()
 
@@ -374,3 +376,73 @@ def test_sampler_streams_are_pinned(seed):
             draws.append([ring.sample(rng) for _ in range(20)])
     digest = hashlib.sha256(repr(draws).encode()).hexdigest()
     assert (digest, rng.random()) == SAMPLER_STREAMS[seed]
+
+
+# bases of E(B; y) and Omega(B; y) for the membership equality tests: finite
+# rings, a polynomial ring, nested path and loop rings, and pair rings with
+# and without a predicate
+MEMBERSHIP_BASES = {
+    "two_z8": lambda: RINGS["two_z8"],
+    "upper3_z2": lambda: RINGS["upper3_z2"],
+    "graded_dual": lambda: RINGS["graded_dual"],
+    "poly": lambda: PolyRing(RINGS["sq0_z3"], ("t",)),
+    "path": lambda: PathRing(RINGS["two_z8"], "x"),
+    "loop": lambda: LoopRing(RINGS["z2_unital"], "x"),
+    "pair": lambda: PairRing(RINGS["sq0_z2"], RINGS["two_z8"]),
+    "mapping_path": lambda: mapping_path_ring(tower_homs(RINGS)[1], "x1"),
+}
+
+
+def _out_of_range(ring, c):
+    """c with a coordinate pushed past its order: not an element of ring."""
+    if isinstance(ring, PairRing):
+        return (_out_of_range(ring.left, c[0]), c[1])
+    return tuple(x + d for x, d in zip(c, ring.orders))
+
+
+def _membership_probes(base, rng):
+    """Sampled members of E(B; y), Omega(B; y) and B[y], and crafted
+    non-members: a constant term, a foreign variable, an out-of-range
+    coefficient, a loop that does not vanish at 1, and non-Polys."""
+    paths, loops = PathRing(base, "y"), LoopRing(base, "y")
+    polys = PolyRing(base, ("y",))
+    sb = paths.scalar_base
+    members = [ring.sample(rng) for ring in (paths, loops, polys)
+               for _ in range(25)]
+    b = next(x for x in iter(lambda: base.sample(rng), None)
+             if not base.is_zero(x))
+    loop = next(x for x in iter(lambda: loops.sample(rng), None) if x.terms)
+    crafted = {
+        "constant term": paths.add(loop, lift(base, b)),
+        "foreign variable": paths.add(
+            loop, shift_poly(sb, shift_poly(sb, lift(base, b), "y", 1),
+                             "z", 1)),
+        "out-of-range coefficient": Poly(
+            ((loop.terms[0][0], _out_of_range(sb, loop.terms[0][1])),)
+            + loop.terms[1:]),
+        "not vanishing at 1": paths.add(loop,
+                                        shift_poly(sb, lift(base, b), "y", 1)),
+    }
+    return paths, loops, members, crafted
+
+
+@pytest.mark.parametrize("label", sorted(MEMBERSHIP_BASES))
+def test_membership_matches_lowered_slice_reference(label):
+    """PathRing.contains and LoopRing.contains read member_slices; they
+    give the reference's verdict on sampled elements and on each crafted
+    non-member, and the crafted ones are rejected where they should be."""
+    base = MEMBERSHIP_BASES[label]()
+    paths, loops, members, crafted = _membership_probes(base,
+                                                        random.Random(7))
+    others = [(1,), None, "y", (Poly(), Poly())]
+    verdicts = []
+    for p in members + list(crafted.values()) + others:
+        verdicts.append((paths.contains(p), loops.contains(p)))
+        assert verdicts[-1] == (path_contains_reference(paths, p),
+                                loop_contains_reference(loops, p))
+    assert all(verdicts[i] == (True, True) for i in range(25, 50))
+    assert set(verdicts[:75]) > {(True, True), (True, False)}
+    for name, p in crafted.items():
+        assert not loops.contains(p), name
+        assert paths.contains(p) == (name == "not vanishing at 1"), name
+    assert verdicts[-len(others):] == [(False, False)] * len(others)

@@ -196,6 +196,32 @@ def test_images_that_differ_by_2t_agree_on_z2(label, fails, monkeypatch):
     assert (_failures(got) > 0) == fails
 
 
+def _zero_images_kept(monkeypatch):
+    """A substitution that mishandles a zero image: a variable sent to 0
+    stays where it is."""
+    image = poly._Substitution._image
+
+    def kept(self, mono):
+        assignment = self.assignment
+        self.assignment = {v: ip for v, ip in assignment.items() if ip.terms}
+        try:
+            return image(self, mono)
+        finally:
+            self.assignment = assignment
+    monkeypatch.setattr(poly._Substitution, "_image", kept)
+
+
+def test_endpoint_zero_catches_a_substitution_that_keeps_zero_images(
+        monkeypatch):
+    """v(-1) is compared with the probe's terms free of x, read off
+    without a substitution, so a substitution that gets x -> 0 wrong
+    fails the endpoint_zero check at every level."""
+    _zero_images_kept(monkeypatch)
+    _, failures = check_contraction_compatibility(
+        RINGS["two_z8"], "x", 2, 4, random.Random(0))
+    assert {f[1] for f in failures if f[0] == "endpoint_zero"} == {0, 1, 2}
+
+
 def test_difference_is_lhs_minus_rhs():
     rng = random.Random(4)
     lhs = {"t1": imul(iconst(3), ivar("t1")), "t2": iadd(ivar("t1"),
@@ -228,12 +254,12 @@ def test_contraction_check_builds_each_map_once(monkeypatch):
     check_contraction_compatibility(RINGS["sq0_z2"], "x", 3, 2,
                                     random.Random(0))
     assert set(built.values()) == {1}
-    # faces d_j at levels 1..3, degeneracies s_j at 0..3, contraction
-    # maps h(v_i) at 0..4 (one above the top, for the degeneracies) and
-    # x -> 0 at 0..3
+    # faces d_j at levels 1..3, degeneracies s_j at 0..3 and contraction
+    # maps h(v_i) at 0..4 (one above the top, for the degeneracies); the
+    # x -> 0 endpoint is read off the probe, not substituted
     kinds = Counter(label[0] for _, label in built)
     assert kinds == {"d": 2 + 3 + 4, "s": 1 + 2 + 3 + 4,
-                     "h": 2 + 3 + 4 + 5 + 6, "x": 4}
+                     "h": 2 + 3 + 4 + 5 + 6}
 
 
 def test_identity_check_compiles_one_plan_per_side(monkeypatch):

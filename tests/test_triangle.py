@@ -243,7 +243,7 @@ def test_puppe_verify_reports_each_failure():
     mp.j = FuncHom(mp.loops, mp.ring, lambda c: (b, c), label="bad j")
     cert = mp.null_homotopy()
     mp.null_homotopy = lambda: HomotopyCertificate(
-        cert.hom, cert.f1, cert.f0, cert.var, carrier=cert.carrier)
+        cert.hom, cert.f1, cert.f0, cert.var)
     result = seq.verify(probes=3)
     assert not result["ok"]
     assert [f[:2] for f in result["failures"]] == \

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import hotring
 from hotring import (LoopRing, PairRing, PathRing, alpha_hom, beta_hom,
                      corpus, mapping_path_ring, omega_pair_hom, omega_tilde,
                      tower_homs, zero_hom)
@@ -86,6 +87,12 @@ def test_pair_ring_basics():
         assert pr.first().apply(x) == x[0]
         assert pr.second().apply(x) == x[1]
     assert not pr.contains((a.zero(),))
+
+
+def test_pair_ring_is_one_class():
+    """PairRing lives in rings; virtual and the package re-export it."""
+    assert hotring.PairRing is hotring.virtual.PairRing is \
+        hotring.rings.PairRing
 
 
 def test_pair_ring_without_sampler_rejects_sampling():
